@@ -93,11 +93,36 @@ def _require_nonzero(u: Polynomial) -> None:
 
 
 _X_MINUS_1 = linear(1, -1)
-_BASE_2 = linear(-2, 4)  # -2x+4
-_PROD_12 = _X_MINUS_1 * linear(1, -2)  # (x-1)(x-2)
-_BASE_3 = Polynomial((-3, 7, -2))  # -2x^2+7x-3
-_PROD_123 = _PROD_12 * linear(1, -3)  # (x-1)(x-2)(x-3)
 _X_PLUS_1 = linear(1, 1)
+
+# Thm1.1-1.3: u = base + p(x)*modulus for some p in Z[x], nilpotent of the
+# given index at r=1. Rows are (citation, index, base, modulus).
+THM1_SHAPES = (
+    ("Thm1.1", 1, Polynomial(), _X_MINUS_1),
+    ("Thm1.2", 2, linear(-2, 4), _X_MINUS_1 * linear(1, -2)),
+    ("Thm1.3", 3, Polynomial((-3, 7, -2)),
+     _X_MINUS_1 * linear(1, -2) * linear(1, -3)),
+)
+
+# Negate-conjugation u(x) -> -u(-x) maps the orbit of u at r onto the
+# negated orbit at -r, so each of these families has a mirror family.
+_MIRROR_FAMILIES = {"Thm1": "Rem4", "Thm4": "Cor4", "Cor4": "Thm4"}
+
+
+def mirror_item(citation: str) -> str:
+    """The catalog id of citation's negate-conjugate mirror: Thm1.k at r=1
+    mirrors to Rem4.k at r=-1, and Thm4.k at r and Cor4.k at -r mirror
+    each other. Any other id is left as it is."""
+    family, dot, item = citation.partition(".")
+    return _MIRROR_FAMILIES.get(family, family) + dot + item
+
+
+# The item ids of each family that generate_list_members can enumerate.
+CATALOG_FAMILIES = {
+    family: tuple(f"{family}.{i}" for i in range(1, size + 1))
+    for family, size in
+    (("Thm1", 4), ("Thm2", 5), ("Thm3", 5), ("Thm4", 4), ("Cor4", 4))
+}
 
 
 def classify_L1(u: Polynomial) -> Verdict:
@@ -109,12 +134,9 @@ def classify_L1(u: Polynomial) -> Verdict:
     polynomial division with a remainder check.
     """
     _require_nonzero(u)
-    if _X_MINUS_1.divides(u):
-        return _nilpotent(1, "Thm1.1")
-    if _PROD_12.divides(u - _BASE_2):
-        return _nilpotent(2, "Thm1.2")
-    if _PROD_123.divides(u - _BASE_3):
-        return _nilpotent(3, "Thm1.3")
+    for citation, index, base, modulus in THM1_SHAPES:
+        if modulus.divides(u - base):
+            return _nilpotent(index, citation)
     if u == _X_PLUS_1:
         return _strictly_local("Thm1.4")
     return _non_member("Thm1")
@@ -222,9 +244,7 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
         raise ValueError("this classifier covers |r| >= 2 only")
     if r < 0:
         mirror = classify_Sr_linear(u.negate_conjugate(), -r)
-        return replace(
-            mirror, citation=mirror.citation.replace("Thm4", "Cor4")
-        )
+        return replace(mirror, citation=mirror_item(mirror.citation))
     r_fac = factorize(r)
     r_primes = set(r_fac)
     a, b = u.lead, u.constant
@@ -256,13 +276,14 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
     return _non_member("Thm4")
 
 
-def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None) -> Verdict:
+def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verdict:
     """Dispatch to the exact classifier covering (r, A, degree), if any.
 
     Coverage: r in {1,-1,0} with empty A at any degree; r=1 with any A at
     degree 1; |r| >= 2 with empty A (nilpotency decided by the orbit
-    engine first, then Fact1 for degree >= 2, the strictly-local catalog
-    for degree 1). Everything else returns decidable=False.
+    engine first, under the decide_nilpotency caps given as keywords, then
+    Fact1 for degree >= 2, the strictly-local catalog for degree 1).
+    Everything else returns decidable=False.
     """
     _require_nonzero(u)
     A = _as_prime_set(A)
@@ -271,12 +292,10 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None) -> Verdict:
             return classify_L1(u)
         if r == -1:
             mirror = classify_L1(u.negate_conjugate())
-            return replace(
-                mirror, citation=mirror.citation.replace("Thm1", "Rem4")
-            )
+            return replace(mirror, citation=mirror_item(mirror.citation))
         if r == 0:
             return classify_L0(u)
-        outcome = decide_nilpotency(u, r)
+        outcome = decide_nilpotency(u, r, **caps)
         if outcome.kind is OrbitKind.REACHED_ZERO:
             return _nilpotent(outcome.index, "Def.N")
         if outcome.kind is OrbitKind.EXHAUSTED:

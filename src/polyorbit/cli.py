@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .classify import classify
 from .modular import PrimeSet, certify_local, is_prime, lemma1_witnesses, primes_up_to
@@ -38,30 +37,6 @@ EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_UNDECIDED = 3
 
-COMMANDS = (
-    "orbit", "classify", "certify", "verify-theorem",
-    "explore", "trap", "lemma1", "reduce",
-)
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "polyorbit report",
-    "type": "object",
-    "required": ["command", "inputs", "result", "citations", "timings"],
-    "properties": {
-        "command": {"type": "string", "enum": list(COMMANDS)},
-        "inputs": {"type": "object"},
-        "result": {"type": ["object", "array", "boolean"]},
-        "citations": {"type": "array", "items": {"type": "string"}},
-        "timings": {
-            "type": "object",
-            "required": ["wall_s"],
-            "properties": {"wall_s": {"type": "number"}},
-        },
-    },
-    "additionalProperties": False,
-}
-
 
 class UsageError(ValueError):
     pass
@@ -77,30 +52,32 @@ def _env_int(name: str, fallback: int) -> int:
         raise UsageError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs for one batch run."""
+class _PrimeSetAction(argparse.Action):
+    """Collect -A entries into a PrimeSet, refusing any that is not prime."""
 
-    command: str
-    poly: Polynomial | None = None
-    r: int = 0
-    A: PrimeSet = field(default_factory=PrimeSet)
-    prime_bound: int = 300
-    r_bound: int = 10
-    degree: int = 3
-    coeff_bound: int = 5
-    max_steps: int = MAX_STEPS_DEFAULT
-    max_bits: int = MAX_BITS_DEFAULT
-    trap_cap: int = TRAP_CAP_DEFAULT
-    alpha: int = 0
-    beta: int = 0
-    gamma: int = 0
-    explore_set: str = "N"
-    output: str = "human"
-    out_path: str | None = None
+    def __call__(self, parser, namespace, values, option_string=None):
+        for p in values:
+            if not is_prime(p):
+                raise argparse.ArgumentError(self, f"entries must be prime; {p} is not")
+        setattr(namespace, self.dest, PrimeSet(values))
+
+
+def _poly_arg(text: str) -> Polynomial:
+    try:
+        return parse_poly(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad polynomial: {exc}")
+
+
+def _add_input(p: argparse.ArgumentParser, *flags, **kwargs) -> None:
+    """Add an argument that the report echoes in its inputs block, under
+    the argument's dest and in declaration order."""
+    p.get_default("inputs").append(p.add_argument(*flags, **kwargs).dest)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; defaults come from the POLYORBIT_* variables,
+    so a malformed one raises UsageError here."""
     parser = argparse.ArgumentParser(
         prog="polyorbit",
         description="Orbits, nilpotency decisions, residue certificates and "
@@ -111,92 +88,67 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the JSON report schema and exit",
     )
     sub = parser.add_subparsers(dest="command")
+    prime_bound = _env_int("POLYORBIT_PRIME_BOUND", 300)
+    max_steps = _env_int("POLYORBIT_MAX_STEPS", MAX_STEPS_DEFAULT)
+    max_bits = _env_int("POLYORBIT_MAX_BITS", MAX_BITS_DEFAULT)
+    trap_cap = _env_int("POLYORBIT_TRAP_CAP", TRAP_CAP_DEFAULT)
 
-    def common(p, poly=False, r=False, A=False, primes=False):
+    def command(name, help, poly=False, r=False, A=False, primes=False, caps=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(inputs=[])
         if poly:
-            p.add_argument("-u", "--poly", required=True,
-                           help='polynomial: "-2x^2+7x-3" or "c0,c1,...,cd"')
+            _add_input(p, "-u", "--poly", type=_poly_arg, required=True,
+                       help='polynomial: "-2x^2+7x-3" or "c0,c1,...,cd"')
         if r:
-            p.add_argument("-r", type=int, required=True, help="start point")
+            _add_input(p, "-r", type=int, required=True, help="start point")
         if A:
-            p.add_argument("-A", type=int, nargs="*", default=[],
-                           metavar="P", help="excluded primes")
+            _add_input(p, "-A", type=int, nargs="*", default=PrimeSet(),
+                       action=_PrimeSetAction, metavar="P", help="excluded primes")
         if primes:
-            p.add_argument("--primes", type=int,
-                           default=_env_int("POLYORBIT_PRIME_BOUND", 300),
-                           help="prime bound (default 300)")
+            _add_input(p, "--primes", dest="prime_bound", type=int,
+                       default=prime_bound, help="prime bound (default 300)")
         p.add_argument("--output", choices=("human", "json"), default="human")
         p.add_argument("--out", default=None, help="also write the JSON report here")
-        p.add_argument("--max-steps", type=int,
-                       default=_env_int("POLYORBIT_MAX_STEPS", MAX_STEPS_DEFAULT))
-        p.add_argument("--max-bits", type=int,
-                       default=_env_int("POLYORBIT_MAX_BITS", MAX_BITS_DEFAULT))
+        if caps:  # the subcommands that run an integer orbit
+            p.add_argument("--max-steps", type=int, default=max_steps)
+            p.add_argument("--max-bits", type=int, default=max_bits)
+        return p
 
-    p = sub.add_parser("orbit", help="decide nilpotency of u at r over Z")
-    common(p, poly=True, r=True)
+    command("orbit", "decide nilpotency of u at r over Z", poly=True, r=True, caps=True)
+    command("classify", "exact classification of (u, r, A)",
+            poly=True, r=True, A=True, caps=True)
+    command("certify", "residue certificates for all primes <= bound",
+            poly=True, r=True, A=True, primes=True)
 
-    p = sub.add_parser("classify", help="exact classification of (u, r, A)")
-    common(p, poly=True, r=True, A=True)
+    p = command("verify-theorem",
+                "enumerate a coefficient box and cross-check the classifier",
+                r=True, A=True, primes=True, caps=True)
+    _add_input(p, "--degree", type=int, default=3)
+    _add_input(p, "--coeff-bound", type=int, default=5)
 
-    p = sub.add_parser("certify", help="residue certificates for all primes <= bound")
-    common(p, poly=True, r=True, A=True, primes=True)
+    p = command("explore", "nilpotency / local-nilpotency window for u",
+                poly=True, primes=True, caps=True)
+    _add_input(p, "--set", choices=("N", "LN"), default="N")
+    _add_input(p, "--r-bound", type=int, default=10)
 
-    p = sub.add_parser("verify-theorem",
-                       help="enumerate a coefficient box and cross-check the classifier")
-    common(p, r=True, A=True, primes=True)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--coeff-bound", type=int, default=5)
+    p = command("trap", "verify the additive-trap properties per prime", primes=True)
+    p.add_argument("--trap-cap", type=int, default=trap_cap)
 
-    p = sub.add_parser("explore", help="nilpotency / local-nilpotency window for u")
-    common(p, poly=True, primes=True)
-    p.add_argument("--set", dest="explore_set", choices=("N", "LN"), default="N")
-    p.add_argument("--r-bound", type=int, default=10)
+    p = command("lemma1", "cyclic-subgroup witness primes", primes=True)
+    _add_input(p, "--alpha", type=int, required=True)
+    _add_input(p, "--beta", type=int, required=True)
+    _add_input(p, "--gamma", type=int, required=True)
 
-    p = sub.add_parser("trap", help="verify the additive-trap properties per prime")
-    common(p, primes=True)
-    p.add_argument("--trap-cap", type=int,
-                   default=_env_int("POLYORBIT_TRAP_CAP", TRAP_CAP_DEFAULT))
-
-    p = sub.add_parser("lemma1", help="cyclic-subgroup witness primes")
-    common(p, primes=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-
-    p = sub.add_parser("reduce", help="move the base point from r to 1")
-    common(p, poly=True, r=True)
+    command("reduce", "move the base point from r to 1", poly=True, r=True)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "poly", None) is not None:
-        try:
-            cfg.poly = parse_poly(args.poly)
-        except PolynomialSyntaxError as exc:
-            raise UsageError(f"bad polynomial: {exc}")
-    if hasattr(args, "r"):
-        cfg.r = args.r
-    for p in getattr(args, "A", []):
-        if not is_prime(p):
-            raise UsageError(f"-A entries must be prime; {p} is not")
-    cfg.A = PrimeSet(getattr(args, "A", []))
-    for attr, name in [
-        ("primes", "prime_bound"), ("r_bound", "r_bound"), ("degree", "degree"),
-        ("coeff_bound", "coeff_bound"), ("max_steps", "max_steps"),
-        ("max_bits", "max_bits"), ("trap_cap", "trap_cap"), ("alpha", "alpha"),
-        ("beta", "beta"), ("gamma", "gamma"), ("explore_set", "explore_set"),
-        ("output", "output"), ("out", "out_path"),
-    ]:
-        if hasattr(args, attr):
-            setattr(cfg, name, getattr(args, attr))
-    return cfg
+def _caps(args: argparse.Namespace) -> dict:
+    return {"max_steps": args.max_steps, "max_bits": args.max_bits}
 
 
-def _orbit_result(cfg: RunConfig) -> tuple[int, dict]:
-    outcome = decide_nilpotency(
-        cfg.poly, cfg.r, max_steps=cfg.max_steps, max_bits=cfg.max_bits
-    )
+def _orbit_result(args: argparse.Namespace) -> tuple[int, dict]:
+    outcome = decide_nilpotency(args.poly, args.r, **_caps(args))
     result = {"kind": outcome.kind.value, "steps_used": outcome.steps_used}
     if outcome.index is not None:
         result["index"] = outcome.index
@@ -210,8 +162,8 @@ def _orbit_result(cfg: RunConfig) -> tuple[int, dict]:
     return code, result
 
 
-def _classify_result(cfg: RunConfig) -> tuple[int, dict]:
-    v = classify(cfg.poly, cfg.r, cfg.A)
+def _classify_result(args: argparse.Namespace) -> tuple[int, dict]:
+    v = classify(args.poly, args.r, args.A, **_caps(args))
     result = {
         "decidable": v.decidable,
         "result": v.result,
@@ -223,8 +175,8 @@ def _classify_result(cfg: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if v.decidable else EXIT_UNDECIDED), result
 
 
-def _certify_result(cfg: RunConfig) -> tuple[int, dict]:
-    report = certify_local(cfg.poly, cfg.r, cfg.A, cfg.prime_bound)
+def _certify_result(args: argparse.Namespace) -> tuple[int, dict]:
+    report = certify_local(args.poly, args.r, args.A, args.prime_bound)
     certs = []
     for cert in report.certificates:
         entry = {"p": cert.p, "kind": cert.kind, "m_p": cert.m_p}
@@ -242,40 +194,38 @@ def _certify_result(cfg: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if report.consistent else EXIT_REFUTED), result
 
 
-def _verify_result(cfg: RunConfig) -> tuple[int, dict]:
+def _verify_result(args: argparse.Namespace) -> tuple[int, dict]:
     space = SearchSpace(
-        degree=cfg.degree, coeff_bound=cfg.coeff_bound, r=cfg.r,
-        A=cfg.A, prime_bound=cfg.prime_bound,
+        degree=args.degree, coeff_bound=args.coeff_bound, r=args.r,
+        A=args.A, prime_bound=args.prime_bound,
     )
-    report = verify_theorem(space)
+    report = verify_theorem(space, **_caps(args))
     code = EXIT_REFUTED if report.discrepancies else EXIT_OK
     return code, report.to_dict()
 
 
-def _explore_result(cfg: RunConfig) -> tuple[int, dict]:
-    if cfg.explore_set == "N":
-        found = explore_N_of_u(
-            cfg.poly, cfg.r_bound, max_steps=cfg.max_steps, max_bits=cfg.max_bits
-        )
+def _explore_result(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.set == "N":
+        found = explore_N_of_u(args.poly, args.r_bound, **_caps(args))
         entries = [{"r": r, "index": idx} for r, idx in found]
         undecided = any(idx is None for _, idx in found)
     else:
         statuses = explore_LN_of_u(
-            cfg.poly, cfg.r_bound, cfg.prime_bound,
-            max_steps=cfg.max_steps, max_bits=cfg.max_bits,
+            args.poly, args.r_bound, args.prime_bound, **_caps(args)
         )
         entries = [e.to_dict() for e in statuses]
         undecided = any(e.status == "undecided" for e in statuses)
-    result = {"set": cfg.explore_set, "r_bound": cfg.r_bound, "entries": entries}
+    result = {"set": args.set, "r_bound": args.r_bound, "entries": entries}
     return (EXIT_UNDECIDED if undecided else EXIT_OK), result
 
 
-def _trap_result(cfg: RunConfig) -> tuple[int, dict]:
+def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
+    args.prime_bound = min(args.prime_bound, args.trap_cap)  # the bound swept
     per_prime = []
     all_ok = True
-    for p in primes_up_to(min(cfg.prime_bound, cfg.trap_cap)):
-        hits = trap_first_hits(p, cap=cfg.trap_cap)
-        fixed = trap_fixed_points(p, cap=cfg.trap_cap)
+    for p in primes_up_to(args.prime_bound):
+        hits = trap_first_hits(p, cap=args.trap_cap)
+        fixed = trap_fixed_points(p, cap=args.trap_cap)
         nilpotent = all(step >= 1 for step in hits.values())
         fixed_ok = [(pt.x, pt.y) for pt in fixed] == [(0, 0)]
         all_ok = all_ok and nilpotent and fixed_ok
@@ -289,18 +239,18 @@ def _trap_result(cfg: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if all_ok else EXIT_REFUTED), result
 
 
-def _lemma1_result(cfg: RunConfig) -> tuple[int, dict]:
-    witnesses = lemma1_witnesses(cfg.alpha, cfg.beta, cfg.gamma, cfg.prime_bound)
+def _lemma1_result(args: argparse.Namespace) -> tuple[int, dict]:
+    witnesses = lemma1_witnesses(args.alpha, args.beta, args.gamma, args.prime_bound)
     result = {
-        "alpha": cfg.alpha, "beta": cfg.beta, "gamma": cfg.gamma,
-        "prime_bound": cfg.prime_bound, "witnesses": witnesses,
+        "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
+        "prime_bound": args.prime_bound, "witnesses": witnesses,
     }
     return EXIT_OK, result
 
 
-def _reduce_result(cfg: RunConfig) -> tuple[int, dict]:
-    reduced = cfg.poly.reduce_at(cfg.r)
-    return EXIT_OK, {"poly": str(cfg.poly), "r": cfg.r, "reduced": str(reduced)}
+def _reduce_result(args: argparse.Namespace) -> tuple[int, dict]:
+    reduced = args.poly.reduce_at(args.r)
+    return EXIT_OK, {"poly": str(args.poly), "r": args.r, "reduced": str(reduced)}
 
 
 _HANDLERS = {
@@ -312,6 +262,26 @@ _HANDLERS = {
     "trap": _trap_result,
     "lemma1": _lemma1_result,
     "reduce": _reduce_result,
+}
+
+
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "polyorbit report",
+    "type": "object",
+    "required": ["command", "inputs", "result", "citations", "timings"],
+    "properties": {
+        "command": {"type": "string", "enum": list(_HANDLERS)},
+        "inputs": {"type": "object"},
+        "result": {"type": ["object", "array", "boolean"]},
+        "citations": {"type": "array", "items": {"type": "string"}},
+        "timings": {
+            "type": "object",
+            "required": ["wall_s"],
+            "properties": {"wall_s": {"type": "number"}},
+        },
+    },
+    "additionalProperties": False,
 }
 
 
@@ -330,34 +300,26 @@ def _collect_citations(result: dict) -> list[str]:
     return []
 
 
-def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Dispatch one validated config; returns (exit code, report document)."""
-    inputs = {}
-    if cfg.poly is not None:
-        inputs["poly"] = str(cfg.poly)
-    if cfg.command in ("orbit", "classify", "certify", "verify-theorem", "reduce"):
-        inputs["r"] = cfg.r
-    if cfg.command in ("classify", "certify", "verify-theorem"):
-        inputs["A"] = list(cfg.A)
-    if cfg.command in ("certify", "verify-theorem", "explore", "trap", "lemma1"):
-        inputs["prime_bound"] = cfg.prime_bound
-    if cfg.command == "verify-theorem":
-        inputs.update(degree=cfg.degree, coeff_bound=cfg.coeff_bound)
-    if cfg.command == "explore":
-        inputs.update(set=cfg.explore_set, r_bound=cfg.r_bound)
-    if cfg.command == "lemma1":
-        inputs.update(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma)
-
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Dispatch parsed arguments; returns (exit code, report document)."""
     start = time.perf_counter()
-    code, result = _HANDLERS[cfg.command](cfg)
+    code, result = _HANDLERS[args.command](args)
     doc = {
-        "command": cfg.command,
-        "inputs": inputs,
+        "command": args.command,
+        "inputs": {key: _echo(getattr(args, key)) for key in args.inputs},
         "result": result,
         "citations": _collect_citations(result),
         "timings": {"wall_s": round(time.perf_counter() - start, 6)},
     }
     return code, doc
+
+
+def _echo(value):
+    if isinstance(value, Polynomial):
+        return str(value)
+    if isinstance(value, PrimeSet):
+        return list(value)
+    return value
 
 
 def _render_human(doc: dict) -> str:
@@ -428,33 +390,32 @@ def _merge_poly_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_poly_flag(list(argv)))
-    except SystemExit as exc:  # remap argparse's exit 2 to the usage code
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if args.print_schema:
-        print(json.dumps(REPORT_SCHEMA, indent=2))
-        return EXIT_OK
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = config_from_args(args)
-        code, doc = run(cfg)
+        parser = build_parser()
+        try:
+            args = parser.parse_args(_merge_poly_flag(list(argv)))
+        except SystemExit as exc:  # remap argparse's exit 2 to the usage code
+            return EXIT_OK if exc.code == 0 else EXIT_USAGE
+        if args.print_schema:
+            print(json.dumps(REPORT_SCHEMA, indent=2))
+            return EXIT_OK
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        code, doc = run(args)
     except (UsageError, PolynomialSyntaxError, ReductionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(doc, indent=2))
     else:
         print(_render_human(doc))

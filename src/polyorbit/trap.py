@@ -10,6 +10,7 @@ y/x increases by exactly 1 per step, which is why p steps always suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .modular import is_prime
 
@@ -31,22 +32,25 @@ class TrapPoint:
         object.__setattr__(self, "y", self.y % self.p)
 
 
+def _step(x: int, y: int, p: int) -> tuple[int, int]:
+    """One application of the map to residues, reducing after every
+    multiply so all intermediates stay within machine range for desk-scale
+    primes."""
+    x2y = (((x * x) % p) * y) % p
+    xy2 = (x * ((y * y) % p)) % p
+    return x2y, (x2y + xy2) % p
+
+
 def trap_step(pt: TrapPoint) -> TrapPoint:
-    """One application of the map, reducing after every multiply so all
-    intermediates stay within machine range for desk-scale primes."""
-    p = pt.p
-    xx = (pt.x * pt.x) % p
-    x2y = (xx * pt.y) % p
-    yy = (pt.y * pt.y) % p
-    xy2 = (pt.x * yy) % p
-    return TrapPoint(x2y, (x2y + xy2) % p, p)
+    """One application of the map."""
+    return TrapPoint(*_step(pt.x, pt.y, pt.p), pt.p)
 
 
 def _check_prime_cap(p: int, cap: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > cap:
-        raise ValueError(f"p={p} exceeds the cap {cap} (p^2 points, p steps each)")
+        raise ValueError(f"p={p} exceeds the cap {cap} (p^2 points)")
 
 
 def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> dict[tuple[int, int], int]:
@@ -54,20 +58,23 @@ def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> dict[tuple[int, i
     iterate is (0,0); a value of 0 marks a point that never got there
     within p steps (which the exhaustive checks show never happens)."""
     _check_prime_cap(p, cap)
-    hits: dict[tuple[int, int], int] = {}
-    for x0 in range(p):
-        for y0 in range(p):
-            x, y = x0, y0
-            first = 0
-            for n in range(1, p + 1):
-                xx = (x * x) % p
-                x2y = (xx * y) % p
-                xy2 = (x * ((y * y) % p)) % p
-                x, y = x2y, (x2y + xy2) % p
-                if x == 0 and y == 0:
-                    first = n
-                    break
-            hits[(x0, y0)] = first
+    # hit(pt) = 1 when F(pt) = (0,0), else 1 + hit(F(pt)), so each point is
+    # stepped once and its walk stops at the first point already known.
+    hits = dict.fromkeys(product(range(p), repeat=2))
+    for start in hits:
+        path, pt = [], start
+        while hits[pt] is None:
+            hits[pt] = 0  # a revisit within this walk is a cycle missing (0,0)
+            path.append(pt)
+            pt = _step(*pt, p)
+            if pt == (0, 0):
+                steps = 0
+                break
+        else:
+            steps = hits[pt] or None
+        for pt in reversed(path):
+            steps = steps + 1 if steps is not None and steps < p else None
+            hits[pt] = steps or 0
     return hits
 
 
@@ -80,11 +87,5 @@ def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
 def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:
     """All fixed points of the map over F_p; expected exactly [(0,0)]."""
     _check_prime_cap(p, cap)
-    out = []
-    for x in range(p):
-        for y in range(p):
-            pt = TrapPoint(x, y, p)
-            step = trap_step(pt)
-            if (step.x, step.y) == (x, y):
-                out.append(pt)
-    return out
+    return [TrapPoint(x, y, p) for x, y in product(range(p), repeat=2)
+            if _step(x, y, p) == (x, y)]

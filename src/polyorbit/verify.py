@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .classify import NILPOTENT, Verdict, classify
+from .classify import (
+    CATALOG_FAMILIES,
+    NILPOTENT,
+    THM1_SHAPES,
+    Verdict,
+    classify,
+    mirror_item,
+)
 from .modular import PrimeSet, _as_prime_set, certify_local, factorize
 from .orbits import BudgetExceededError, OrbitKind, decide_nilpotency
 from .polynomials import Polynomial, linear
@@ -120,14 +127,17 @@ def _verdict_summary(v: Verdict) -> str:
 
 
 def verify_theorem(
-    space: SearchSpace, *, budget: int = CANDIDATE_BUDGET_DEFAULT
+    space: SearchSpace, *, budget: int = CANDIDATE_BUDGET_DEFAULT, **caps
 ) -> SearchReport:
     """Classify every candidate and compare against the empirical evidence
-    (exact orbit decision plus residue certificates up to the bound).
+    (exact orbit decision, under the decide_nilpotency caps given as
+    keywords, plus residue certificates up to the bound).
 
     Hard discrepancies: a classified member that some prime refutes; a
     nilpotent orbit classified as non-member; any nilpotency subclass or
     index mismatch; an undecidable verdict inside an exact-theorem space.
+    A candidate whose orbit the caps leave undecided is flagged for review
+    instead.
     """
     if space.cardinality > budget:
         raise BudgetExceededError(
@@ -141,17 +151,22 @@ def verify_theorem(
     checked = 0
     for u in space.candidates():
         checked += 1
-        v = classify(u, space.r, space.A)
+        v = classify(u, space.r, space.A, **caps)
         totals[_verdict_label(v)] += 1
         if v.decidable:
             citations[v.citation] += 1
-        else:
+        outcome = decide_nilpotency(u, space.r, **caps)
+        if outcome.kind is OrbitKind.EXHAUSTED:
+            review_flags.append(
+                {"poly": str(u), "reason": "orbit undecided at resource caps"}
+            )
+            continue
+        if not v.decidable:
             discrepancies.append(
                 Discrepancy(str(u), _verdict_summary(v),
                             "classifier undecidable inside an exact-theorem space")
             )
             continue
-        outcome = decide_nilpotency(u, space.r)
         if outcome.kind is OrbitKind.REACHED_ZERO:
             if not v.member:
                 discrepancies.append(
@@ -164,11 +179,6 @@ def verify_theorem(
                     Discrepancy(str(u), _verdict_summary(v),
                                 f"orbit nilpotency index is {outcome.index}")
                 )
-        elif outcome.kind is OrbitKind.EXHAUSTED:
-            review_flags.append(
-                {"poly": str(u), "reason": "orbit undecided at resource caps"}
-            )
-            continue
         elif v.member and v.subclass == NILPOTENT:
             discrepancies.append(
                 Discrepancy(str(u), _verdict_summary(v),
@@ -257,7 +267,7 @@ def explore_LN_of_u(
         raise ValueError("r_bound must be >= 0")
     entries = []
     for r in range(-r_bound, r_bound + 1):
-        verdict = classify(u, r)
+        verdict = classify(u, r, **caps)
         citation = verdict.citation if verdict.decidable else ""
         outcome = decide_nilpotency(u, r, **caps)
         if outcome.kind is OrbitKind.REACHED_ZERO:
@@ -327,35 +337,31 @@ def generate_list_members(
     p(x) choices, coeff_bound bounds free integer parameters.
     """
     family, _, item = theorem_id.partition(".")
+    items = CATALOG_FAMILIES.get(family, ())
     if not item:
-        items = {"Thm1": 4, "Thm2": 5, "Thm3": 5, "Thm4": 4, "Cor4": 4}.get(family)
-        if items is None:
+        if not items:
             raise ValueError(f"unknown catalog family {theorem_id!r}")
         members: list[Polynomial] = []
-        for i in range(1, items + 1):
+        for ident in items:
             for u in generate_list_members(
-                f"{family}.{i}", A=A, r=r, exponent_sum=exponent_sum,
+                ident, A=A, r=r, exponent_sum=exponent_sum,
                 exponent_cap=exponent_cap, multipliers=multipliers,
                 coeff_bound=coeff_bound,
             ):
                 if u not in members:
                     members.append(u)
         return members
+    if theorem_id not in items:
+        raise ValueError(f"unknown catalog item {theorem_id!r}")
 
     nonzero = [k for k in range(-coeff_bound, coeff_bound + 1) if k]
 
     if family == "Thm1":
-        x_minus_1 = linear(1, -1)
-        if item == "1":
-            return [x_minus_1 * p for p in multipliers if not p.is_zero()]
-        if item == "2":
-            return [linear(-2, 4) + p * (x_minus_1 * linear(1, -2))
-                    for p in multipliers]
-        if item == "3":
-            prod_123 = x_minus_1 * linear(1, -2) * linear(1, -3)
-            return [Polynomial((-3, 7, -2)) + p * prod_123 for p in multipliers]
-        if item == "4":
-            return [linear(1, 1)]
+        for ident, _, base, modulus in THM1_SHAPES:
+            if ident == theorem_id:
+                shapes = (base + p * modulus for p in multipliers)
+                return [u for u in shapes if not u.is_zero()]
+        return [linear(1, 1)]
 
     if family == "Thm2":
         if item == "1":
@@ -410,7 +416,7 @@ def generate_list_members(
             return [
                 u.negate_conjugate()
                 for u in generate_list_members(
-                    f"Thm4.{item}", r=-r, exponent_sum=exponent_sum,
+                    mirror_item(theorem_id), r=-r, exponent_sum=exponent_sum,
                     exponent_cap=exponent_cap, multipliers=multipliers,
                     coeff_bound=coeff_bound,
                 )
@@ -438,5 +444,3 @@ def generate_list_members(
                     for s in (1, -1)]
         if item == "4":
             return [linear(-2, -r)] if r % 2 == 0 else []
-
-    raise ValueError(f"unknown catalog item {theorem_id!r}")

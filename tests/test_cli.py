@@ -201,3 +201,43 @@ class TestPlumbing:
                              "--primes", "60")
         first.pop("timings"), second.pop("timings")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+class TestCapsAndBounds:
+    @pytest.mark.parametrize("name", [
+        "POLYORBIT_PRIME_BOUND", "POLYORBIT_MAX_STEPS",
+        "POLYORBIT_MAX_BITS", "POLYORBIT_TRAP_CAP",
+    ])
+    def test_malformed_env_is_usage_error(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run_cli(capsys, "orbit", "-u", "x+1", "-r", "1")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and name in err
+
+    def test_classify_honours_max_steps(self, capsys):
+        code, doc = run_json(capsys, "classify", "-u", "-x^3+9x^2-25x+25",
+                             "-r", "2", "--max-steps", "1")
+        assert code == EXIT_UNDECIDED
+        assert doc["result"]["decidable"] is False
+
+    def test_verify_theorem_honours_max_steps(self, capsys):
+        code, doc = run_json(capsys, "verify-theorem", "-r", "2", "--degree", "2",
+                             "--coeff-bound", "1", "--primes", "20",
+                             "--max-steps", "1")
+        assert code == EXIT_OK
+        assert doc["result"]["discrepancies"] == []
+        assert doc["result"]["review_flags"]
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "-u", "x+1", "-r", "1"], ["trap"], ["reduce", "-u", "x", "-r", "1"],
+        ["lemma1", "--alpha", "2", "--beta", "3", "--gamma", "5"],
+    ])
+    @pytest.mark.parametrize("cap", ["--max-steps", "--max-bits"])
+    def test_caps_refused_where_no_integer_orbit_runs(self, capsys, command, cap):
+        assert run_cli(capsys, *command, cap, "5")[0] == EXIT_USAGE
+
+    def test_trap_reports_the_bound_it_swept(self, capsys):
+        code, doc = run_json(capsys, "trap", "--primes", "7", "--trap-cap", "5")
+        assert code == EXIT_OK
+        assert doc["inputs"] == {"prime_bound": 5}
+        assert [entry["p"] for entry in doc["result"]["primes"]] == [2, 3, 5]

@@ -75,3 +75,26 @@ def test_ratio_recurrence(p):
             old_ratio = (y * pow(x, -1, p)) % p
             new_ratio = (nxt.y * pow(nxt.x, -1, p)) % p
             assert new_ratio == (old_ratio + 1) % p
+
+
+def _walk_first_hits(p):
+    """Reference: walk every start point separately for at most p steps."""
+    hits = {}
+    for x0 in range(p):
+        for y0 in range(p):
+            x, y, first = x0, y0, 0
+            for n in range(1, p + 1):
+                x, y = (x * x * y) % p, (x * x * y + x * y * y) % p
+                if (x, y) == (0, 0):
+                    first = n
+                    break
+            hits[(x0, y0)] = first
+    return hits
+
+
+@pytest.mark.parametrize("p", primes_up_to(31))
+def test_first_hits_match_plain_walk(p):
+    got = trap_first_hits(p)
+    want = _walk_first_hits(p)
+    assert got == want
+    assert list(got) == list(want)

@@ -9,6 +9,7 @@ from polyorbit import (
     PrimeSet,
     SearchSpace,
     certify_local,
+    classify,
     decide_nilpotency,
     explore_LN_of_u,
     explore_N_of_u,
@@ -199,6 +200,27 @@ class TestGenerators:
             assert nilpotency_index(u, 0) == 2
         for u in generate_list_members("Thm3.2", coeff_bound=4):
             assert nilpotency_index(u, 1) == 1
+
+
+def test_generated_members_classify_in_their_own_family():
+    """The generator and the classifiers read one catalog: every member
+    generated over this grid is a decidable member cited in its family."""
+    cases = [(f"Thm1.{i}", 1, None, {"coeff_bound": 4}) for i in range(1, 5)]
+    cases += [(f"Thm2.{i}", 0, None, {"coeff_bound": 4}) for i in range(1, 6)]
+    cases += [(f"Thm3.{i}", 1, PrimeSet(A), {"A": PrimeSet(A)})
+              for A in ([2], [3], [2, 3], [2, 5]) for i in range(1, 6)]
+    cases += [(f"{family}.{i}", r, None, {"r": r})
+              for m in range(2, 13) for family, r in (("Thm4", m), ("Cor4", -m))
+              for i in range(1, 5)]
+    checked = 0
+    for item, r, A, kwargs in cases:
+        for u in generate_list_members(item, **kwargs):
+            v = classify(u, r, A)
+            assert v.decidable and v.member, (item, str(u), v)
+            family = item.partition(".")[0]
+            assert v.citation.partition(".")[0] == family, (item, str(u), v)
+            checked += 1
+    assert checked == 602
 
 
 def test_negative_direction_on_refuted_candidates():
