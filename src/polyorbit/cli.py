@@ -412,13 +412,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if args.output == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(_render_human(doc))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return EXIT_USAGE
+    try:  # a reader that closed the pipe early has all it wanted
+        print(json.dumps(doc, indent=2) if args.output == "json" else _render_human(doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, linear
 
 
 def is_prime(n: int) -> bool:
@@ -150,28 +150,33 @@ class LocalReport:
 def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     """Iterate x -> u(x) mod p from r mod p until 0 or a revisit.
 
-    Coefficients are reduced once up front; each step costs O(degree)
-    modular operations. At most p steps are ever needed: p+1 residues must
-    repeat, and a repeat before any zero means zero is unreachable.
+    Coefficients are reduced once up front. Two stopping rules, both within
+    p steps:
+
+    * u = ax+b with a != 0 mod p permutes Z/pZ, so the orbit is a pure
+      cycle through r: the walk stops at 0 (hit) or back at r (refuted,
+      with tail length 0);
+    * otherwise each step is a Horner evaluation, and the walk stops at 0
+      or at the first repeated residue, whose first index is the tail
+      length. p+1 residues must repeat, so a repeat before any zero means
+      zero is unreachable.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     reduced = tuple(c % p for c in reversed(u.coeffs))
-    x = r % p
-    seen = {x: 0}
-    values = [x]
-    if len(reduced) == 2:  # linear fast path, the common hot loop
+    x = start = r % p
+    if len(reduced) == 2 and reduced[0]:  # the permutation cycle, the hot loop
         a, b = reduced
-        for n in range(1, p + 2):
+        values = [x]
+        for n in range(1, p + 1):
             x = (a * x + b) % p
             if x == 0:
                 return PrimeCertificate(p, m_p=n)
-            hit = seen.get(x)
-            if hit is not None:
-                return PrimeCertificate(p, cycle=(hit, tuple(values[hit:])))
-            seen[x] = n
+            if x == start:
+                return PrimeCertificate(p, cycle=(0, tuple(values)))
             values.append(x)
     else:
+        seen = {x: 0}
         for n in range(1, p + 2):
             acc = 0
             for c in reduced:
@@ -181,9 +186,8 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
                 return PrimeCertificate(p, m_p=n)
             hit = seen.get(x)
             if hit is not None:
-                return PrimeCertificate(p, cycle=(hit, tuple(values[hit:])))
+                return PrimeCertificate(p, cycle=(hit, tuple(seen)[hit:]))
             seen[x] = n
-            values.append(x)
     raise AssertionError("unreachable: pigeonhole guarantees a zero or a repeat")
 
 
@@ -243,10 +247,13 @@ def lemma1_witnesses(
     gamma*alpha^n = beta mod p has no solution n >= 1.
 
     Per prime this is the subgroup-membership question "is beta/gamma in
-    the cyclic group generated by alpha mod p", decided by enumerating the
-    <= p-1 powers of alpha. Requires that neither beta/gamma nor gamma/beta
-    is a nonnegative integer power of alpha (otherwise a caller logic
-    error: such witnesses cannot exist for almost all primes).
+    the cyclic group generated by alpha mod p". It is decided by the
+    residue walk of u = alpha*x + beta*(alpha-1) from gamma-beta, since
+    u^(n)(gamma-beta) = gamma*alpha^n - beta over Z: p is a witness
+    exactly when that walk never reaches 0. Requires that neither
+    beta/gamma nor gamma/beta is a nonnegative integer power of alpha
+    (otherwise a caller logic error: such witnesses cannot exist for almost
+    all primes).
     """
     if alpha == 0 or beta == 0 or gamma == 0:
         raise LemmaPreconditionError("alpha, beta, gamma must all be nonzero")
@@ -257,20 +264,9 @@ def lemma1_witnesses(
                 "search's hypothesis fails"
             )
     product = alpha * beta * gamma
-    witnesses = []
-    for p in primes_up_to(prime_bound):
-        if product % p == 0:
-            continue
-        a = alpha % p
-        target_hit = False
-        x = a
-        while True:
-            if (gamma * x - beta) % p == 0:
-                target_hit = True
-                break
-            x = (x * a) % p
-            if x == a:  # powers of alpha cycled; n >= 1 exhausted
-                break
-        if not target_hit:
-            witnesses.append(p)
-    return witnesses
+    u = linear(alpha, beta * (alpha - 1))
+    return [
+        p
+        for p in primes_up_to(prime_bound)
+        if product % p and not orbit_mod_p(u, gamma - beta, p).hit
+    ]

@@ -172,8 +172,7 @@ def decide_nilpotency(
         return _linear_slope_minus_one(u.constant, r)
 
     bound = escape_bound(u).bound
-    seen = {r: 0}
-    values = [r]
+    seen = {r: 0}  # the orbit so far, in insertion order
     x = r
     for n in range(1, max_steps + 1):
         x = u.evaluate(x)
@@ -190,12 +189,11 @@ def decide_nilpotency(
             return OrbitOutcome(
                 OrbitKind.CYCLE,
                 steps_used=n,
-                cycle_witness=(hit, tuple(values[hit:])),
+                cycle_witness=(hit, tuple(seen)[hit:]),
             )
         if len(seen) >= max_seen:
             return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=n)
         seen[x] = n
-        values.append(x)
     return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=max_steps)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Iterator
 
@@ -76,7 +76,7 @@ class Discrepancy:
     finding: str
 
     def to_dict(self) -> dict:
-        return {"poly": self.poly, "verdict": self.verdict, "finding": self.finding}
+        return asdict(self)
 
 
 @dataclass
@@ -244,15 +244,7 @@ class LocalStatusEntry:
     citation: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "status": self.status,
-            "index": self.index,
-            "refuted_at": self.refuted_at,
-            "bound": self.bound,
-            "exact_member": self.exact_member,
-            "citation": self.citation,
-        }
+        return asdict(self)
 
 
 def explore_LN_of_u(

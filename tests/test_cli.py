@@ -1,6 +1,10 @@
 """CLI contract: exit codes, JSON schema conformance, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -182,6 +186,35 @@ class TestPlumbing:
         doc = json.loads(target.read_text())
         jsonschema.validate(doc, REPORT_SCHEMA)
         assert doc["result"]["citation"] == "Thm1.4"
+
+    def test_unwritable_out_file_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "orbit", "-u", "x+1", "-r", "1",
+                                 "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()
+
+    def test_closed_stdout_ends_cleanly(self):
+        """A reader that closed the pipe gets no traceback and the report's
+        own exit code, even for a document small enough to sit in the
+        buffer until exit."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polyorbit", "trap", "--primes", "7",
+                 "--trap-cap", "5", "--output", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "" and proc.returncode == EXIT_OK
 
     def test_human_output_carries_citation(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "-u", "x+1", "-r", "1")

@@ -1,5 +1,7 @@
 """Residue orbits, certificates, primes, and the witness search."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +140,42 @@ class TestOrbitModP:
         assert 0 not in values and len(set(values)) == len(values)
 
 
+def reference_walk(u, r, p):
+    """(m_p, cycle) by the plain walk: a dict of seen residues, Horner step."""
+    x = r % p
+    seen = {x: 0}
+    values = [x]
+    for n in range(1, p + 2):
+        x = u.evaluate(x) % p
+        if x == 0:
+            return n, None
+        if x in seen:
+            return None, (seen[x], tuple(values[seen[x]:]))
+        seen[x] = n
+        values.append(x)
+    raise AssertionError("pigeonhole")
+
+
+class TestOrbitModPMatchesPlainWalk:
+    @pytest.mark.parametrize("p", primes_up_to(23))
+    def test_every_linear_map_and_start(self, p):
+        # a = p is degree 1 but 0 mod p, so it takes the general loop.
+        for a in [*range(p), p]:
+            for b in range(p):
+                u = Polynomial((b, a))
+                for r in range(p):
+                    cert = orbit_mod_p(u, r, p)
+                    assert (cert.m_p, cert.cycle) == reference_walk(u, r, p)
+
+    @pytest.mark.parametrize("p", primes_up_to(7))
+    def test_every_quadratic_and_start(self, p):
+        for c2, c1, c0 in product(range(p), repeat=3):
+            u = Polynomial((c0, c1, c2))
+            for r in range(p):
+                cert = orbit_mod_p(u, r, p)
+                assert (cert.m_p, cert.cycle) == reference_walk(u, r, p)
+
+
 class TestCertifyLocal:
     def test_shift_consistent_with_m_p(self):
         report = certify_local(linear(1, 1), 1, None, 100)
@@ -231,6 +269,50 @@ class TestLemma1Witnesses:
             assert any(
                 (gamma * pow(alpha, n, p) - beta) % p == 0 for n in range(1, p)
             )
+
+    @pytest.mark.parametrize(
+        "alpha,beta,gamma", [(-2, 1, 2), (2, -1, 1), (3, 5, 7), (1, 4, -6)]
+    )
+    def test_walk_of_u_is_gamma_alpha_power_minus_beta(self, alpha, beta, gamma):
+        u = linear(alpha, beta * (alpha - 1))
+        for n in range(1, 8):
+            assert iterate_value(u, gamma - beta, n) == gamma * alpha**n - beta
+
+
+def reference_lemma1(alpha, beta, gamma, prime_bound):
+    """The power enumeration that lemma1_witnesses ran before the residue
+    walk took its place, behind the same precondition."""
+    for num, den in ((beta, gamma), (gamma, beta)):
+        if num % den == 0 and is_integer_power(alpha, num // den) is not None:
+            raise LemmaPreconditionError(f"{num}/{den}")
+    witnesses = []
+    for p in primes_up_to(prime_bound):
+        if (alpha * beta * gamma) % p == 0:
+            continue
+        a = alpha % p
+        x = a
+        while (gamma * x - beta) % p != 0:
+            x = (x * a) % p
+            if x == a:  # powers of alpha cycled; n >= 1 exhausted
+                witnesses.append(p)
+                break
+    return witnesses
+
+
+@pytest.mark.parametrize("alpha", [-5, -4, -3, -2, 2, 3, 4, 5])
+def test_lemma1_matches_power_enumeration(alpha):
+    nonzero = [v for v in range(-6, 7) if v]
+    accepted = 0
+    for beta, gamma in product(nonzero, repeat=2):
+        try:
+            expected = reference_lemma1(alpha, beta, gamma, 100)
+        except LemmaPreconditionError:
+            with pytest.raises(LemmaPreconditionError):
+                lemma1_witnesses(alpha, beta, gamma, 100)
+            continue
+        assert lemma1_witnesses(alpha, beta, gamma, 100) == expected
+        accepted += 1
+    assert accepted > 100
 
 
 def test_nilpotent_box_certificates_bounded_by_index():
