@@ -8,6 +8,7 @@ unconditional, so probabilistic tests are off the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .polynomials import Polynomial, linear
@@ -191,6 +192,11 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     raise AssertionError("unreachable: pigeonhole guarantees a zero or a repeat")
 
 
+@lru_cache(maxsize=1)  # a harness run certifies every candidate at one (bound, A)
+def _primes_outside(bound: int, A: PrimeSet) -> tuple[int, ...]:
+    return tuple(p for p in primes_up_to(bound) if p not in A)
+
+
 def certify_local(
     u: Polynomial,
     r: int,
@@ -205,11 +211,8 @@ def certify_local(
     """
     if prime_bound < 2:
         raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
-    A = _as_prime_set(A)
     certificates = []
-    for p in primes_up_to(prime_bound):
-        if p in A:
-            continue
+    for p in _primes_outside(prime_bound, _as_prime_set(A)):
         cert = orbit_mod_p(u, r, p)
         certificates.append(cert)
         if not cert.hit:

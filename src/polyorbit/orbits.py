@@ -149,7 +149,6 @@ def decide_nilpotency(
     *,
     max_steps: int = MAX_STEPS_DEFAULT,
     max_bits: int = MAX_BITS_DEFAULT,
-    max_seen: int = MAX_SEEN_DEFAULT,
 ) -> OrbitOutcome:
     """Decide whether the orbit of u at r ever reaches 0 exactly.
 
@@ -191,7 +190,7 @@ def decide_nilpotency(
                 steps_used=n,
                 cycle_witness=(hit, tuple(seen)[hit:]),
             )
-        if len(seen) >= max_seen:
+        if len(seen) >= MAX_SEEN_DEFAULT:
             return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=n)
         seen[x] = n
     return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=max_steps)

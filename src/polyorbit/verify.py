@@ -24,8 +24,9 @@ from .classify import (
     classify,
     mirror_item,
 )
-from .modular import PrimeSet, _as_prime_set, certify_local, factorize
-from .orbits import BudgetExceededError, OrbitKind, decide_nilpotency
+from .modular import (PrimeSet, _as_prime_set, certify_local, factorize,
+                      prime_support)
+from .orbits import BudgetExceededError, OrbitKind, OrbitOutcome, decide_nilpotency
 from .polynomials import Polynomial, linear
 
 CANDIDATE_BUDGET_DEFAULT = 10**7
@@ -46,6 +47,8 @@ class SearchSpace:
     def __post_init__(self):
         if self.degree < 1 or self.coeff_bound < 0:
             raise ValueError("degree must be >= 1 and coeff_bound >= 0")
+        if self.prime_bound < 2:
+            raise ValueError(f"prime bound must be >= 2, got {self.prime_bound}")
         object.__setattr__(self, "A", _as_prime_set(self.A))
 
     @property
@@ -60,13 +63,7 @@ class SearchSpace:
                 yield Polynomial(vec)
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeff_bound": self.coeff_bound,
-            "r": self.r,
-            "A": list(self.A),
-            "prime_bound": self.prime_bound,
-        }
+        return {**asdict(self), "A": list(self.A)}
 
 
 @dataclass(frozen=True)
@@ -126,18 +123,56 @@ def _verdict_summary(v: Verdict) -> str:
     return f"{head} [{v.citation}]"
 
 
+def _evidence(
+    u: Polynomial, r: int, A: "PrimeSet | None", prime_bound: int, caps: dict
+) -> tuple[Verdict, OrbitOutcome, int | None]:
+    """The verdict on (u, r, A), the integer orbit outcome, and the first
+    prime <= prime_bound outside A whose residue orbit never reaches 0
+    (None when no prime refutes the orbit or it is not certified).
+
+    Only a decidable verdict on an orbit that cycles or escapes is
+    certified: an orbit reaching 0 at step n hits 0 mod every prime by
+    step n, so no prime can refute it.
+    """
+    verdict = classify(u, r, A, **caps)
+    outcome = decide_nilpotency(u, r, **caps)
+    refuted_at = None
+    if verdict.decidable and outcome.kind in (OrbitKind.CYCLE, OrbitKind.ESCAPED):
+        refuted_at = certify_local(u, r, A, prime_bound).refuted_at
+    return verdict, outcome, refuted_at
+
+
+def _findings(
+    v: Verdict, outcome: OrbitOutcome, refuted_at: int | None
+) -> Iterator[str]:
+    """The hard discrepancies between a verdict and its decided orbit."""
+    if not v.decidable:
+        yield "classifier undecidable inside an exact-theorem space"
+        return
+    if outcome.kind is OrbitKind.REACHED_ZERO:
+        if not v.member:
+            yield f"orbit reaches 0 at step {outcome.index} but classified non-member"
+        elif v.subclass != NILPOTENT or v.index != outcome.index:
+            yield f"orbit nilpotency index is {outcome.index}"
+    elif v.member and v.subclass == NILPOTENT:
+        yield f"orbit never reaches 0 ({outcome.kind.value})"
+    if refuted_at is not None and v.member:
+        yield f"residue orbit refutes membership at p={refuted_at}"
+
+
 def verify_theorem(
     space: SearchSpace, *, budget: int = CANDIDATE_BUDGET_DEFAULT, **caps
 ) -> SearchReport:
-    """Classify every candidate and compare against the empirical evidence
-    (exact orbit decision, under the decide_nilpotency caps given as
-    keywords, plus residue certificates up to the bound).
+    """Classify every candidate and compare the verdict with the evidence:
+    the exact orbit decision (under the decide_nilpotency caps given as
+    keywords) and, for a decidable verdict on an orbit that never reaches
+    0, residue certificates up to the bound.
 
-    Hard discrepancies: a classified member that some prime refutes; a
-    nilpotent orbit classified as non-member; any nilpotency subclass or
-    index mismatch; an undecidable verdict inside an exact-theorem space.
-    A candidate whose orbit the caps leave undecided is flagged for review
-    instead.
+    Hard discrepancies: an undecidable verdict inside an exact-theorem
+    space; a nilpotent orbit classified as non-member; any nilpotency
+    subclass or index mismatch; a classified member that some prime
+    refutes. Flagged for review instead: an orbit the caps leave
+    undecided, and a classified non-member that no prime refutes.
     """
     if space.cardinality > budget:
         raise BudgetExceededError(
@@ -151,48 +186,23 @@ def verify_theorem(
     checked = 0
     for u in space.candidates():
         checked += 1
-        v = classify(u, space.r, space.A, **caps)
+        v, outcome, refuted_at = _evidence(
+            u, space.r, space.A, space.prime_bound, caps
+        )
         totals[_verdict_label(v)] += 1
         if v.decidable:
             citations[v.citation] += 1
-        outcome = decide_nilpotency(u, space.r, **caps)
         if outcome.kind is OrbitKind.EXHAUSTED:
             review_flags.append(
                 {"poly": str(u), "reason": "orbit undecided at resource caps"}
             )
             continue
-        if not v.decidable:
-            discrepancies.append(
-                Discrepancy(str(u), _verdict_summary(v),
-                            "classifier undecidable inside an exact-theorem space")
-            )
-            continue
-        if outcome.kind is OrbitKind.REACHED_ZERO:
-            if not v.member:
-                discrepancies.append(
-                    Discrepancy(str(u), _verdict_summary(v),
-                                f"orbit reaches 0 at step {outcome.index} "
-                                "but classified non-member")
-                )
-            elif v.subclass != NILPOTENT or v.index != outcome.index:
-                discrepancies.append(
-                    Discrepancy(str(u), _verdict_summary(v),
-                                f"orbit nilpotency index is {outcome.index}")
-                )
-        elif v.member and v.subclass == NILPOTENT:
-            discrepancies.append(
-                Discrepancy(str(u), _verdict_summary(v),
-                            f"orbit never reaches 0 ({outcome.kind.value})")
-            )
-        report = certify_local(u, space.r, space.A, space.prime_bound)
-        if report.refuted_at is not None:
-            if v.member:
-                discrepancies.append(
-                    Discrepancy(str(u), _verdict_summary(v),
-                                f"residue orbit refutes membership at "
-                                f"p={report.refuted_at}")
-                )
-        elif not v.member and outcome.kind is not OrbitKind.REACHED_ZERO:
+        discrepancies.extend(
+            Discrepancy(str(u), _verdict_summary(v), finding)
+            for finding in _findings(v, outcome, refuted_at)
+        )
+        if (v.decidable and not v.member and refuted_at is None
+                and outcome.kind is not OrbitKind.REACHED_ZERO):
             review_flags.append(
                 {
                     "poly": str(u),
@@ -257,38 +267,28 @@ def explore_LN_of_u(
         raise ValueError("the zero polynomial has no orbit analysis")
     if r_bound < 0:
         raise ValueError("r_bound must be >= 0")
+    if prime_bound < 2:
+        raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
     entries = []
     for r in range(-r_bound, r_bound + 1):
-        verdict = classify(u, r, **caps)
-        citation = verdict.citation if verdict.decidable else ""
-        outcome = decide_nilpotency(u, r, **caps)
-        if outcome.kind is OrbitKind.REACHED_ZERO:
-            entries.append(
-                LocalStatusEntry(r, "nilpotent", index=outcome.index,
-                                 exact_member=True, citation=citation)
-            )
-            continue
+        verdict, outcome, refuted_at = _evidence(u, r, None, prime_bound, caps)
         if outcome.kind is OrbitKind.EXHAUSTED:
             entries.append(LocalStatusEntry(r, "undecided"))
             continue
-        report = certify_local(u, r, None, prime_bound)
-        if report.refuted_at is not None:
-            entries.append(
-                LocalStatusEntry(r, "refuted", refuted_at=report.refuted_at,
-                                 exact_member=False, citation=citation)
-            )
+        if outcome.kind is OrbitKind.REACHED_ZERO:
+            found = {"status": "nilpotent", "index": outcome.index,
+                     "exact_member": True}
+        elif refuted_at is not None:
+            found = {"status": "refuted", "refuted_at": refuted_at,
+                     "exact_member": False}
         else:
-            entries.append(
-                LocalStatusEntry(
-                    r, "consistent", bound=prime_bound,
-                    exact_member=verdict.member if verdict.decidable else None,
-                    citation=citation,
-                )
-            )
+            found = {"status": "consistent", "bound": prime_bound,
+                     "exact_member": verdict.member}
+        entries.append(LocalStatusEntry(r, citation=verdict.citation, **found))
     return entries
 
 
-_DEFAULT_MULTIPLIERS = (Polynomial(), Polynomial((1,)), Polynomial((0, 1)))
+_MULTIPLIERS = (Polynomial(), Polynomial((1,)), Polynomial((0, 1)))
 
 
 def _supported_shifts(primes: list[int], cap: int, minimum: int = 0,
@@ -317,7 +317,6 @@ def generate_list_members(
     r: int | None = None,
     exponent_sum: int = 3,
     exponent_cap: int | None = None,
-    multipliers: tuple[Polynomial, ...] = _DEFAULT_MULTIPLIERS,
     coeff_bound: int = 5,
 ) -> list[Polynomial]:
     """Enumerate catalog members within bounds for positive testing.
@@ -325,8 +324,8 @@ def generate_list_members(
     theorem_id is a catalog item ("Thm4.3") or a family ("Thm4" expands to
     every item). Thm3.* needs A; Thm4.* needs r >= 2 and Cor4.* needs
     r <= -2. exponent_sum caps the total of the prime-power exponents
-    (exponent_cap additionally caps each one), multipliers bounds the free
-    p(x) choices, coeff_bound bounds free integer parameters.
+    (exponent_cap additionally caps each one), the free p(x) choices are 0,
+    1 and x, and coeff_bound bounds free integer parameters.
     """
     family, _, item = theorem_id.partition(".")
     items = CATALOG_FAMILIES.get(family, ())
@@ -337,8 +336,7 @@ def generate_list_members(
         for ident in items:
             for u in generate_list_members(
                 ident, A=A, r=r, exponent_sum=exponent_sum,
-                exponent_cap=exponent_cap, multipliers=multipliers,
-                coeff_bound=coeff_bound,
+                exponent_cap=exponent_cap, coeff_bound=coeff_bound,
             ):
                 if u not in members:
                     members.append(u)
@@ -351,7 +349,7 @@ def generate_list_members(
     if family == "Thm1":
         for ident, _, base, modulus in THM1_SHAPES:
             if ident == theorem_id:
-                shapes = (base + p * modulus for p in multipliers)
+                shapes = (base + p * modulus for p in _MULTIPLIERS)
                 return [u for u in shapes if not u.is_zero()]
         return [linear(1, 1)]
 
@@ -365,17 +363,16 @@ def generate_list_members(
                 linear(a, b)
                 for a in nonzero
                 for b in nonzero
-                if abs(a) >= 2
-                and set(factorize(a)) <= set(factorize(b))
+                if abs(a) >= 2 and prime_support(a) <= prime_support(b)
             ]
         if item == "4":
             x = Polynomial((0, 1))
-            return [x * p for p in multipliers if not p.is_zero()]
+            return [x * p for p in _MULTIPLIERS if not p.is_zero()]
         if item == "5":
             return [
                 linear(1, -a) * p
                 for a in nonzero
-                for p in multipliers
+                for p in _MULTIPLIERS
                 if p.constant == -1
             ]
 
@@ -409,8 +406,7 @@ def generate_list_members(
                 u.negate_conjugate()
                 for u in generate_list_members(
                     mirror_item(theorem_id), r=-r, exponent_sum=exponent_sum,
-                    exponent_cap=exponent_cap, multipliers=multipliers,
-                    coeff_bound=coeff_bound,
+                    exponent_cap=exponent_cap, coeff_bound=coeff_bound,
                 )
             ]
         if r < 2:

@@ -274,3 +274,19 @@ class TestCapsAndBounds:
         assert code == EXIT_OK
         assert doc["inputs"] == {"prime_bound": 5}
         assert [entry["p"] for entry in doc["result"]["primes"]] == [2, 3, 5]
+
+    @pytest.mark.parametrize("command", [
+        ["verify-theorem", "-r", "1", "--degree", "1", "--coeff-bound", "1"],
+        ["verify-theorem", "-r", "1", "--degree", "1", "--coeff-bound", "0"],
+        ["verify-theorem", "-r", "2", "-A", "3", "--degree", "1",
+         "--coeff-bound", "1"],
+        ["explore", "-u", "x", "--set", "LN", "--r-bound", "0"],
+        ["explore", "-u", "x-1", "--set", "LN", "--r-bound", "0"],
+    ])
+    @pytest.mark.parametrize("bound", ["1", "0", "-5"])
+    def test_prime_bound_below_two_refused_whatever_the_box(self, capsys,
+                                                            command, bound):
+        code, out, err = run_cli(capsys, *command, "--primes", bound)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: prime bound must be >= 2, got {bound}\n"

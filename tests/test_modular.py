@@ -200,6 +200,27 @@ class TestCertifyLocal:
         with pytest.raises(ValueError):
             certify_local(linear(1, 1), 1, None, 1)
 
+    def test_interleaved_bounds_and_excluded_sets(self):
+        """Consecutive calls at changing (A, bound) each certify exactly the
+        primes up to their own bound outside their own A."""
+        sets = [PrimeSet([2]), PrimeSet(), PrimeSet([3, 5]), PrimeSet([2])]
+        bounds = [2, 50, 97, 50]
+        maps = [(linear(1, 1), 1), (linear(4, -2), 0), (parse_poly("x^2+1"), 0),
+                (linear(-2, -6), 6), (parse_poly("x^2-2"), 3)]
+        for step in range(60):
+            A, bound = sets[step % 4], bounds[step % 3]
+            u, r = maps[step % 5]
+            certificates = []
+            for p in primes_up_to(bound):
+                if p not in A:
+                    certificates.append(orbit_mod_p(u, r, p))
+                    if not certificates[-1].hit:
+                        break
+            report = certify_local(u, r, A, bound)
+            assert report.certificates == tuple(certificates), (step, A, bound)
+            expected = None if all(c.hit for c in certificates) else certificates[-1].p
+            assert report.refuted_at == expected and report.prime_bound == bound
+
     def test_nilpotent_orbit_hits_every_prime_quickly(self):
         """ReachedZero with index i forces Hit with m_p <= i at every p."""
         for text, r in [("x^2-5x+6", 1), ("-x^3+9x^2-25x+25", 2), ("x-1", 9)]:

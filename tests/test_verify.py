@@ -6,6 +6,7 @@ import pytest
 
 from polyorbit import (
     BudgetExceededError,
+    OrbitKind,
     PrimeSet,
     SearchSpace,
     certify_local,
@@ -35,6 +36,20 @@ class TestSearchSpace:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchSpace(degree=0, coeff_bound=5, r=1)
+
+    @pytest.mark.parametrize("coeff_bound", [0, 1])
+    @pytest.mark.parametrize("bound", [1, 0, -3])
+    def test_prime_bound_below_two_refused_up_front(self, coeff_bound, bound):
+        with pytest.raises(ValueError, match=f"prime bound must be >= 2, got {bound}"):
+            SearchSpace(degree=1, coeff_bound=coeff_bound, r=1, prime_bound=bound)
+
+    def test_to_dict_keys_and_excluded_primes(self):
+        space = SearchSpace(degree=2, coeff_bound=1, r=2, A=[5, 3], prime_bound=40)
+        assert space.to_dict() == {
+            "degree": 2, "coeff_bound": 1, "r": 2, "A": [3, 5], "prime_bound": 40,
+        }
+        assert list(space.to_dict()) == ["degree", "coeff_bound", "r", "A",
+                                         "prime_bound"]
 
 
 class TestVerifyTheorem:
@@ -123,6 +138,11 @@ class TestExploreLN:
 
         with pytest.raises(ValueError):
             explore_LN_of_u(Polynomial(), 1, 100)
+
+    @pytest.mark.parametrize("u", [linear(1, 0), linear(1, -1)])
+    def test_prime_bound_below_two_refused_whatever_the_window(self, u):
+        with pytest.raises(ValueError, match="prime bound must be >= 2, got 1"):
+            explore_LN_of_u(u, 0, 1)
 
 
 class TestGenerators:
@@ -238,3 +258,48 @@ def test_negative_direction_on_refuted_candidates():
 def test_exhausted_orbit_becomes_undecided_entry():
     entries = explore_N_of_u(parse_poly("x^2-2"), 0, max_steps=2)
     assert entries == [(0, None)]
+
+
+def _counting_certify_local(monkeypatch):
+    """Route the harness's certify_local through a recorder of (u, r)."""
+    import polyorbit.verify
+
+    calls = []
+
+    def counted(u, r, A, prime_bound):
+        calls.append((u, r))
+        return certify_local(u, r, A, prime_bound)
+
+    monkeypatch.setattr(polyorbit.verify, "certify_local", counted)
+    return calls
+
+
+def _open_and_decided(u, r, A=None, **caps):
+    v = classify(u, r, A, **caps)
+    kind = decide_nilpotency(u, r, **caps).kind
+    return v.decidable and kind in (OrbitKind.CYCLE, OrbitKind.ESCAPED)
+
+
+@pytest.mark.parametrize("r,A,caps", [
+    (1, None, {}), (0, None, {}), (3, None, {}), (-2, None, {}),
+    (2, [3], {}), (1, [2], {}), (2, None, {"max_steps": 2}),
+])
+def test_harness_certifies_only_decided_open_orbits(monkeypatch, r, A, caps):
+    """Orbits reaching 0 hit 0 mod every prime, undecidable verdicts and
+    undecided orbits are not compared: none of them is certified."""
+    calls = _counting_certify_local(monkeypatch)
+    space = SearchSpace(degree=2, coeff_bound=1, r=r, A=A or (), prime_bound=30)
+    verify_theorem(space, **caps)
+    expected = [(u, r) for u in space.candidates()
+                if _open_and_decided(u, r, space.A, **caps)]
+    assert calls == expected
+
+
+@pytest.mark.parametrize("text", ["x-1", "x^2-5x+6", "4x-2", "x^2-2", "2x"])
+@pytest.mark.parametrize("caps", [{}, {"max_steps": 2}])
+def test_local_window_certifies_only_decided_open_orbits(monkeypatch, text, caps):
+    calls = _counting_certify_local(monkeypatch)
+    u = parse_poly(text)
+    explore_LN_of_u(u, 4, 50, **caps)
+    expected = [(u, r) for r in range(-4, 5) if _open_and_decided(u, r, **caps)]
+    assert calls == expected
