@@ -31,7 +31,7 @@ from .modular import (
     is_integer_power,
     prime_support,
 )
-from .orbits import OrbitKind, decide_nilpotency
+from .orbits import OrbitKind, OrbitOutcome, decide_nilpotency
 from .polynomials import Polynomial, linear
 
 NILPOTENT = "nilpotent"
@@ -130,12 +130,13 @@ def classify_L1(u: Polynomial) -> Verdict:
 
     Catalog: (1) (x-1)p(x), p != 0, nilpotent index 1; (2) -2x+4 +
     p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 + p(x)(x-1)(x-2)(x-3), index 3;
-    (4) x+1, strictly local. List items (2)-(3) are tested by exact
-    polynomial division with a remainder check.
+    (4) x+1, strictly local.
     """
     _require_nonzero(u)
     for citation, index, base, modulus in THM1_SHAPES:
-        if modulus.divides(u - base):
+        # modulus = (x-1)...(x-index) is monic with distinct integer roots,
+        # so it divides u - base exactly when u = base at each root.
+        if all(u.evaluate(j) == base.evaluate(j) for j in range(1, index + 1)):
             return _nilpotent(index, citation)
     if u == _X_PLUS_1:
         return _strictly_local("Thm1.4")
@@ -285,33 +286,44 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
     Fact1 for degree >= 2, the strictly-local catalog for degree 1).
     Everything else returns decidable=False.
     """
+    return _classify_deciding(u, r, A, caps)[0]
+
+
+def _classify_deciding(
+    u: Polynomial, r: int, A: "PrimeSet | None", caps: dict
+) -> tuple[Verdict, OrbitOutcome | None]:
+    """classify's verdict, with the integer orbit outcome when the dispatch
+    decided it (|r| >= 2 with empty A) and None otherwise, so that a caller
+    needing both decides each orbit once."""
     _require_nonzero(u)
     A = _as_prime_set(A)
     if len(A) == 0:
         if r == 1:
-            return classify_L1(u)
+            return classify_L1(u), None
         if r == -1:
             mirror = classify_L1(u.negate_conjugate())
-            return replace(mirror, citation=mirror_item(mirror.citation))
+            return replace(mirror, citation=mirror_item(mirror.citation)), None
         if r == 0:
-            return classify_L0(u)
+            return classify_L0(u), None
         outcome = decide_nilpotency(u, r, **caps)
         if outcome.kind is OrbitKind.REACHED_ZERO:
-            return _nilpotent(outcome.index, "Def.N")
-        if outcome.kind is OrbitKind.EXHAUSTED:
-            return _undecidable(
+            verdict = _nilpotent(outcome.index, "Def.N")
+        elif outcome.kind is OrbitKind.EXHAUSTED:
+            verdict = _undecidable(
                 f"orbit of {u} at {r} undecided at the resource caps"
             )
-        if u.degree == 0:
-            return _non_member(
+        elif u.degree == 0:
+            verdict = _non_member(
                 "Def.L", "constants are outside every membership set"
             )
-        if u.degree >= 2:
-            return _non_member("Fact1")
-        return classify_Sr_linear(u, r)
+        elif u.degree >= 2:
+            verdict = _non_member("Fact1")
+        else:
+            verdict = classify_Sr_linear(u, r)
+        return verdict, outcome
     if r == 1 and u.degree == 1:
-        return classify_L1A_linear(u, A)
+        return classify_L1A_linear(u, A), None
     return _undecidable(
         f"no exact classifier for r={r}, A={A}, degree={u.degree}; "
         "use certify_local (a refutation there is a proof of non-membership)"
-    )
+    ), None

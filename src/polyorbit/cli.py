@@ -221,6 +221,8 @@ def _explore_result(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
     args.prime_bound = min(args.prime_bound, args.trap_cap)  # the bound swept
+    if args.prime_bound < 2:
+        raise ValueError(f"prime bound must be >= 2, got {args.prime_bound}")
     per_prime = []
     all_ok = True
     for p in primes_up_to(args.prime_bound):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .polynomials import Polynomial, linear
+from .polynomials import Polynomial
 
 
 def is_prime(n: int) -> bool:
@@ -243,6 +243,23 @@ class LemmaPreconditionError(ValueError):
     """The witness search's hypothesis does not hold for these inputs."""
 
 
+def multiplicative_order(a: int, p: int) -> int:
+    """The order of a in the multiplicative group mod the prime p: the
+    least k >= 1 with a^k = 1 mod p.
+
+    The order divides p-1, so it starts there and divides out each prime
+    factor q of p-1 for as long as a^(order/q) = 1 mod p. p must be prime
+    (not checked: callers pass sieved primes) and a must be a unit mod p.
+    """
+    if a % p == 0:
+        raise ValueError(f"{a} is not a unit mod {p}")
+    order = p - 1
+    for q in factorize(order):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
+
+
 def lemma1_witnesses(
     alpha: int, beta: int, gamma: int, prime_bound: int
 ) -> list[int]:
@@ -250,14 +267,16 @@ def lemma1_witnesses(
     gamma*alpha^n = beta mod p has no solution n >= 1.
 
     Per prime this is the subgroup-membership question "is beta/gamma in
-    the cyclic group generated by alpha mod p". It is decided by the
-    residue walk of u = alpha*x + beta*(alpha-1) from gamma-beta, since
-    u^(n)(gamma-beta) = gamma*alpha^n - beta over Z: p is a witness
-    exactly when that walk never reaches 0. Requires that neither
+    the cyclic group generated by alpha mod p", and it is answered by the
+    order of alpha: beta/gamma lies in that group exactly when
+    (beta/gamma)^ord_p(alpha) = 1 mod p. No residue walk is needed; the
+    walk of orbit_mod_p serves certify_local only. Requires that neither
     beta/gamma nor gamma/beta is a nonnegative integer power of alpha
     (otherwise a caller logic error: such witnesses cannot exist for almost
-    all primes).
+    all primes), and a prime bound of at least 2.
     """
+    if prime_bound < 2:
+        raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
     if alpha == 0 or beta == 0 or gamma == 0:
         raise LemmaPreconditionError("alpha, beta, gamma must all be nonzero")
     for num, den in ((beta, gamma), (gamma, beta)):
@@ -267,9 +286,9 @@ def lemma1_witnesses(
                 "search's hypothesis fails"
             )
     product = alpha * beta * gamma
-    u = linear(alpha, beta * (alpha - 1))
     return [
         p
         for p in primes_up_to(prime_bound)
-        if product % p and not orbit_mod_p(u, gamma - beta, p).hit
+        if product % p
+        and pow(beta * pow(gamma, -1, p), multiplicative_order(alpha, p), p) != 1
     ]

@@ -21,7 +21,8 @@ from .classify import (
     NILPOTENT,
     THM1_SHAPES,
     Verdict,
-    classify,
+    _classify_deciding,
+    classify,  # unused here, but perfbench's tracer wraps this binding
     mirror_item,
 )
 from .modular import (PrimeSet, _as_prime_set, certify_local, factorize,
@@ -130,12 +131,14 @@ def _evidence(
     prime <= prime_bound outside A whose residue orbit never reaches 0
     (None when no prime refutes the orbit or it is not certified).
 
-    Only a decidable verdict on an orbit that cycles or escapes is
-    certified: an orbit reaching 0 at step n hits 0 mod every prime by
-    step n, so no prime can refute it.
+    The orbit is decided once: by the dispatcher when it needs the orbit
+    for its verdict, here otherwise. Only a decidable verdict on an orbit
+    that cycles or escapes is certified: an orbit reaching 0 at step n
+    hits 0 mod every prime by step n, so no prime can refute it.
     """
-    verdict = classify(u, r, A, **caps)
-    outcome = decide_nilpotency(u, r, **caps)
+    verdict, outcome = _classify_deciding(u, r, A, caps)
+    if outcome is None:
+        outcome = decide_nilpotency(u, r, **caps)
     refuted_at = None
     if verdict.decidable and outcome.kind in (OrbitKind.CYCLE, OrbitKind.ESCAPED):
         refuted_at = certify_local(u, r, A, prime_bound).refuted_at

@@ -23,6 +23,7 @@ from polyorbit import (
     nilpotency_index,
     parse_poly,
 )
+from polyorbit.classify import THM1_SHAPES
 
 
 def expect(v, member, subclass=None, index=None, citation=None):
@@ -69,6 +70,23 @@ class TestClassifyL1:
             v = classify_L1(Polynomial(vec))
             if v.is_nilpotent:
                 assert nilpotency_index(Polynomial(vec), 1) == v.index
+
+    def test_thm1_shapes_match_exact_division(self):
+        """The rule by exact division by each modulus (x-1)...(x-k)."""
+        for vec in product(range(-3, 4), repeat=4):
+            if not any(vec):
+                continue
+            u = Polynomial(vec)
+            v = classify_L1(u)
+            for citation, index, base, modulus in THM1_SHAPES:
+                if modulus.divides(u - base):
+                    expect(v, True, NILPOTENT, index, citation)
+                    break
+            else:
+                if u == linear(1, 1):
+                    expect(v, True, STRICTLY_LOCAL, citation="Thm1.4")
+                else:
+                    expect(v, False, citation="Thm1")
 
 
 class TestClassifyL0:

@@ -290,3 +290,19 @@ class TestCapsAndBounds:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: prime bound must be >= 2, got {bound}\n"
+
+    @pytest.mark.parametrize("command, bound", [
+        (["lemma1", "--alpha", "2", "--beta", "3", "--gamma", "5",
+          "--primes", "1"], 1),
+        (["lemma1", "--alpha", "2", "--beta", "3", "--gamma", "5",
+          "--primes", "-5"], -5),
+        (["trap", "--primes", "1"], 1),
+        (["trap", "--trap-cap", "1"], 1),
+        (["trap", "--primes", "7", "--trap-cap", "0"], 0),
+    ])
+    def test_lemma1_and_trap_refuse_a_prime_bound_below_two(self, capsys,
+                                                            command, bound):
+        code, out, err = run_cli(capsys, *command)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: prime bound must be >= 2, got {bound}\n"

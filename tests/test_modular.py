@@ -17,6 +17,7 @@ from polyorbit import (
     iterate_value,
     lemma1_witnesses,
     linear,
+    multiplicative_order,
     orbit_mod_p,
     parse_poly,
     primes_up_to,
@@ -334,6 +335,58 @@ def test_lemma1_matches_power_enumeration(alpha):
         assert lemma1_witnesses(alpha, beta, gamma, 100) == expected
         accepted += 1
     assert accepted > 100
+
+
+@pytest.mark.parametrize("bound", [1, 0, -5])
+def test_lemma1_refuses_a_prime_bound_below_two(bound):
+    with pytest.raises(ValueError, match=f"prime bound must be >= 2, got {bound}"):
+        lemma1_witnesses(2, 3, 5, bound)
+
+
+@pytest.mark.parametrize("p", primes_up_to(200))
+def test_multiplicative_order_is_the_least_exponent(p):
+    for a in range(1, p):
+        k, x = 1, a
+        while x != 1:
+            k, x = k + 1, x * a % p
+        assert multiplicative_order(a, p) == k
+        assert multiplicative_order(a - p, p) == k
+
+
+def test_multiplicative_order_refuses_a_non_unit():
+    with pytest.raises(ValueError, match="not a unit"):
+        multiplicative_order(14, 7)
+
+
+def walk_lemma1(alpha, beta, gamma, prime_bound):
+    """The walk definition of the witnesses: the primes p not dividing
+    alpha*beta*gamma where alpha*x + beta*(alpha-1) never reaches 0 from
+    gamma-beta, behind the same preconditions."""
+    if alpha == 0 or beta == 0 or gamma == 0:
+        raise LemmaPreconditionError("alpha, beta, gamma must all be nonzero")
+    for num, den in ((beta, gamma), (gamma, beta)):
+        if num % den == 0 and is_integer_power(alpha, num // den) is not None:
+            raise LemmaPreconditionError(
+                f"{num}/{den} is a nonnegative power of {alpha}; the witness "
+                "search's hypothesis fails"
+            )
+    u = linear(alpha, beta * (alpha - 1))
+    return [p for p in primes_up_to(prime_bound) if alpha * beta * gamma % p
+            and not orbit_mod_p(u, gamma - beta, p).hit]
+
+
+@pytest.mark.parametrize("alpha", range(-7, 8))
+def test_lemma1_matches_the_walk_definition(alpha):
+    values = [v for v in range(-9, 10) if v]
+    for beta, gamma in product(values, repeat=2):
+        try:
+            expected = walk_lemma1(alpha, beta, gamma, 400)
+        except LemmaPreconditionError as exc:
+            with pytest.raises(LemmaPreconditionError) as caught:
+                lemma1_witnesses(alpha, beta, gamma, 400)
+            assert str(caught.value) == str(exc)
+            continue
+        assert lemma1_witnesses(alpha, beta, gamma, 400) == expected
 
 
 def test_nilpotent_box_certificates_bounded_by_index():

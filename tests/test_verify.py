@@ -303,3 +303,41 @@ def test_local_window_certifies_only_decided_open_orbits(monkeypatch, text, caps
     explore_LN_of_u(u, 4, 50, **caps)
     expected = [(u, r) for r in range(-4, 5) if _open_and_decided(u, r, **caps)]
     assert calls == expected
+
+
+def _counting_decide_nilpotency(monkeypatch):
+    """Route every decide_nilpotency the harness reaches, its own and the
+    dispatcher's, through a recorder of (u, r)."""
+    import sys
+
+    import polyorbit.verify
+
+    calls = []
+
+    def counted(u, r, **caps):
+        calls.append((u, r))
+        return decide_nilpotency(u, r, **caps)
+
+    monkeypatch.setattr(polyorbit.verify, "decide_nilpotency", counted)
+    monkeypatch.setattr(sys.modules["polyorbit.classify"], "decide_nilpotency",
+                        counted)
+    return calls
+
+
+@pytest.mark.parametrize("r,A,caps", [
+    (1, None, {}), (0, None, {}), (3, None, {}), (-2, None, {}),
+    (2, [3], {}), (1, [2], {}), (2, None, {"max_steps": 2}),
+])
+def test_harness_decides_each_orbit_once(monkeypatch, r, A, caps):
+    calls = _counting_decide_nilpotency(monkeypatch)
+    space = SearchSpace(degree=2, coeff_bound=1, r=r, A=A or (), prime_bound=30)
+    verify_theorem(space, **caps)
+    assert calls == [(u, r) for u in space.candidates()]
+
+
+@pytest.mark.parametrize("caps", [{}, {"max_steps": 2}])
+def test_local_window_decides_each_orbit_once(monkeypatch, caps):
+    calls = _counting_decide_nilpotency(monkeypatch)
+    u = parse_poly("x^2-5x+6")
+    explore_LN_of_u(u, 4, 50, **caps)
+    assert calls == [(u, r) for r in range(-4, 5)]
