@@ -1,8 +1,13 @@
 """Residue-orbit machinery mod p: hitting-time certificates, whole-range
 certification of local nilpotency, and the cyclic-subgroup witness search.
 
+A translation x+b reaches 0 mod p at m_p = -r/b mod p, in closed form.
+Every other linear map is walked around its permutation cycle keeping
+only the current residue; the cycle is recorded only when it refutes.
+
 Primality is decided by sieve / trial division only; certificates must be
-unconditional, so probabilistic tests are off the table.
+unconditional, so probabilistic tests are off the table. Sieves stop at
+PRIME_BOUND_MAX.
 """
 
 from __future__ import annotations
@@ -11,7 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .orbits import BudgetExceededError
 from .polynomials import Polynomial
+
+PRIME_BOUND_MAX = 10**7
 
 
 def is_prime(n: int) -> bool:
@@ -29,7 +37,12 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending, by sieve of Eratosthenes."""
+    """All primes <= bound, ascending, by sieve of Eratosthenes. A bound
+    above PRIME_BOUND_MAX raises BudgetExceededError before any allocation."""
+    if bound > PRIME_BOUND_MAX:
+        raise BudgetExceededError(
+            f"prime bound {bound} exceeds the sieve budget of {PRIME_BOUND_MAX}"
+        )
     if bound < 2:
         return []
     sieve = bytearray(b"\x01") * (bound + 1)
@@ -149,14 +162,18 @@ class LocalReport:
 
 
 def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
-    """Iterate x -> u(x) mod p from r mod p until 0 or a revisit.
+    """The hitting time of 0, or a 0-free cycle, of x -> u(x) mod p from r.
 
-    Coefficients are reduced once up front. Two stopping rules, both within
-    p steps:
+    Coefficients are reduced once up front. Three cases, each settled
+    within p steps:
 
-    * u = ax+b with a != 0 mod p permutes Z/pZ, so the orbit is a pure
-      cycle through r: the walk stops at 0 (hit) or back at r (refuted,
-      with tail length 0);
+    * a translation x+b with b != 0 mod p has u^(n)(r) = r + nb, so
+      m_p = -r/b mod p (p when that is 0), from one modular inverse and
+      no walk;
+    * any other u = ax+b with a != 0 mod p permutes Z/pZ, so the orbit is
+      a pure cycle through r: the walk keeps only the current residue and
+      stops at 0 (hit) or back at r (refuted, tail length 0), and only a
+      refutation walks its cycle a second time to record it;
     * otherwise each step is a Horner evaluation, and the walk stops at 0
       or at the first repeated residue, whose first index is the tail
       length. p+1 residues must repeat, so a repeat before any zero means
@@ -168,14 +185,17 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     x = start = r % p
     if len(reduced) == 2 and reduced[0]:  # the permutation cycle, the hot loop
         a, b = reduced
-        values = [x]
+        if a == 1 and b:
+            return PrimeCertificate(p, m_p=(-x * pow(b, -1, p)) % p or p)
         for n in range(1, p + 1):
             x = (a * x + b) % p
             if x == 0:
                 return PrimeCertificate(p, m_p=n)
-            if x == start:
+            if x == start:  # refuted: record the n residues of the cycle
+                values = [x]
+                for _ in range(n - 1):
+                    values.append((a * values[-1] + b) % p)
                 return PrimeCertificate(p, cycle=(0, tuple(values)))
-            values.append(x)
     else:
         seen = {x: 0}
         for n in range(1, p + 2):

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+DEGREE_MAX = 10**4
+
 
 class PolynomialSyntaxError(ValueError):
     """Raised by parse_poly; carries the character offset of the problem."""
@@ -217,7 +219,8 @@ def parse_poly(text: str) -> Polynomial:
     * Expression: signed integer-coefficient monomials in the single
       variable x with ^ powers, e.g. "-2x^2+7x-3", "x", "-x^2+1".
       Whitespace is allowed between tokens; coefficients 1/-1 may be
-      implicit.
+      implicit. An exponent above DEGREE_MAX is refused before any
+      coefficient list is built, since the list is dense.
 
     Both spellings of the same polynomial parse to equal values.
     """
@@ -271,7 +274,13 @@ def _expression_terms(text: str) -> Iterator[tuple[int, int]]:
                 m = re.compile(r"\d+").match(text, pos)
                 if not m:
                     raise PolynomialSyntaxError("expected a nonnegative integer exponent after ^", pos)
-                exponent = int(m.group())
+                digits = m.group().lstrip("0") or "0"
+                # the length test keeps int() off digit strings it refuses
+                if len(digits) > len(str(DEGREE_MAX)) or int(digits) > DEGREE_MAX:
+                    raise PolynomialSyntaxError(
+                        f"exponent exceeds the degree budget of {DEGREE_MAX}", pos
+                    )
+                exponent = int(digits)
                 pos = _WS_RE.match(text, m.end()).end()
             if coeff is None:
                 coeff = 1

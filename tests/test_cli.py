@@ -17,6 +17,7 @@ from polyorbit.cli import (
     REPORT_SCHEMA,
     main,
 )
+from polyorbit.modular import PRIME_BOUND_MAX
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +168,12 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "orbit", "-u", "x^^2", "-r", "1")
         assert code == EXIT_USAGE and "bad polynomial" in err
 
+    def test_exponent_over_the_degree_budget_is_usage_error(self, capsys,
+                                                              small_peak):
+        code, out, err = run_cli(capsys, "orbit", "-u", "x^1000000000", "-r", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert "bad polynomial: exponent exceeds the degree budget" in err
+
     def test_usage_error_on_unknown_flag(self, capsys):
         assert run_cli(capsys, "orbit", "--nope")[0] == EXIT_USAGE
 
@@ -306,3 +313,18 @@ class TestCapsAndBounds:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: prime bound must be >= 2, got {bound}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "-u", "x+1", "-r", "1"],
+        ["lemma1", "--alpha", "2", "--beta", "3", "--gamma", "5"],
+        ["verify-theorem", "-r", "1", "--degree", "1", "--coeff-bound", "1"],
+        ["explore", "-u", "x+1", "--set", "LN", "--r-bound", "1"],
+    ])
+    @pytest.mark.parametrize("bound", [PRIME_BOUND_MAX + 1, 10**9])
+    def test_prime_bound_over_the_sieve_budget(self, capsys, small_peak,
+                                               command, bound):
+        code, out, err = run_cli(capsys, *command, "--primes", str(bound))
+        assert code == EXIT_UNDECIDED
+        assert out == ""
+        assert err == (f"budget exhausted: prime bound {bound} exceeds the "
+                       f"sieve budget of {PRIME_BOUND_MAX}\n")

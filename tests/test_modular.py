@@ -2,16 +2,19 @@
 
 from itertools import product
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyorbit import (
+    BudgetExceededError,
     LemmaPreconditionError,
     OrbitKind,
     Polynomial,
     PrimeSet,
     certify_local,
     decide_nilpotency,
+    generate_list_members,
     is_integer_power,
     is_prime,
     iterate_value,
@@ -22,6 +25,7 @@ from polyorbit import (
     parse_poly,
     primes_up_to,
 )
+from polyorbit.modular import PRIME_BOUND_MAX
 
 
 class TestPrimes:
@@ -37,6 +41,18 @@ class TestPrimes:
 
     def test_sieve_matches_trial_division(self):
         assert primes_up_to(2000) == [n for n in range(2001) if is_prime(n)]
+
+    @pytest.mark.parametrize("bound", [PRIME_BOUND_MAX + 1, 10**9])
+    def test_bound_over_the_budget_refused_before_allocation(self, bound,
+                                                             small_peak):
+        with pytest.raises(BudgetExceededError, match="sieve budget"):
+            primes_up_to(bound)
+
+    def test_budget_admits_its_own_bound(self, monkeypatch):
+        monkeypatch.setattr("polyorbit.modular.PRIME_BOUND_MAX", 100)
+        assert primes_up_to(100)[-1] == 97
+        with pytest.raises(BudgetExceededError):
+            primes_up_to(101)
 
 
 class TestPrimeSet:
@@ -175,6 +191,74 @@ class TestOrbitModPMatchesPlainWalk:
             for r in range(p):
                 cert = orbit_mod_p(u, r, p)
                 assert (cert.m_p, cert.cycle) == reference_walk(u, r, p)
+
+
+class TestLinearFastPathsMatchPlainWalk:
+    @pytest.mark.parametrize("p", primes_up_to(61))
+    def test_translations_in_closed_form(self, p):
+        # Every a here is 1 mod p. b = 0 mod p is the identity, and r = 0
+        # mod p hits only at m_p = p. The plain walk depends on residues
+        # alone, so it runs once per residue pair (b, r).
+        span = range(-p, 2 * p)
+        expected = {}
+        for a in (1, p + 1, 1 - p):
+            for b in span:
+                u = linear(a, b)
+                for r in span:
+                    key = (b % p, r % p)
+                    if key not in expected:
+                        expected[key] = reference_walk(u, r, p)
+                    cert = orbit_mod_p(u, r, p)
+                    assert (cert.m_p, cert.cycle) == expected[key]
+
+    @pytest.mark.parametrize("p", primes_up_to(61)[1:])
+    def test_every_refutation_rebuilds_its_cycle(self, p):
+        refuted = 0
+        for a, b in product(range(2, p), range(p)):
+            u = linear(a, b)
+            # u permutes Z/pZ: the starts on the cycle through 0 hit, and
+            # every other start refutes.
+            hitting, x = {0}, b
+            while x:
+                hitting.add(x)
+                x = (a * x + b) % p
+            for r in set(range(p)) - hitting:
+                cert = orbit_mod_p(u, r, p)
+                assert (cert.m_p, cert.cycle) == reference_walk(u, r, p)
+                refuted += 1
+        assert refuted
+
+
+def replay(u, r, A, bound, member):
+    """certify_local's report, and the failures that perfbench's oracle
+    (which shares no code with polyorbit) finds when it replays it."""
+    report = certify_local(u, r, A, bound)
+    certs = [(c.p, c.m_p, c.cycle) for c in report.certificates]
+    failures = oracles.check_local_report(
+        u.coeffs, r, set(A), bound, certs, report.refuted_at, member)
+    return report, failures
+
+
+class TestOracleReplay:
+    @pytest.mark.parametrize("text,r", [("x+1", 1), ("x+3", 6), ("2x+6", 6)])
+    def test_member_to_3000(self, text, r):
+        report, failures = replay(parse_poly(text), r, PrimeSet(), 3000, True)
+        assert report.consistent and failures == []
+
+    def test_refutation_at_5(self):
+        report, failures = replay(parse_poly("4x-2"), 1, PrimeSet(), 100, False)
+        assert report.refuted_at == 5 and failures == []
+
+    @pytest.mark.parametrize("family,text,r,A", [
+        ("Thm3", "-2x-1", 1, PrimeSet([2])),
+        ("Thm4", "-2x+6", 6, PrimeSet()),
+        ("Cor4", "2x-6", -6, PrimeSet()),
+    ])
+    def test_catalog_member_to_1000(self, family, text, r, A):
+        u = parse_poly(text)
+        assert u in generate_list_members(family, A=A, r=r)
+        report, failures = replay(u, r, A, 1000, True)
+        assert report.consistent and failures == []
 
 
 class TestCertifyLocal:

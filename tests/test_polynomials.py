@@ -10,6 +10,7 @@ from polyorbit import (
     linear,
     parse_poly,
 )
+from polyorbit.polynomials import DEGREE_MAX
 
 polys = st.builds(Polynomial, st.lists(st.integers(-9, 9), max_size=5))
 small_polys = st.builds(Polynomial, st.lists(st.integers(-9, 9), max_size=4))
@@ -59,6 +60,15 @@ class TestParse:
     def test_malformed_rejected(self, text):
         with pytest.raises(PolynomialSyntaxError):
             parse_poly(text)
+
+    def test_exponent_at_the_degree_budget_accepted(self):
+        assert parse_poly("x^10000").degree == DEGREE_MAX == 10000
+
+    @pytest.mark.parametrize("text", ["x^10001", "x^1000000000", "x^" + "9" * 5000])
+    def test_exponent_over_the_degree_budget_refused(self, text, small_peak):
+        with pytest.raises(PolynomialSyntaxError, match="degree budget") as err:
+            parse_poly(text)
+        assert err.value.position == 2
 
     def test_non_integer_coefficient(self):
         with pytest.raises(PolynomialSyntaxError) as err:
