@@ -46,7 +46,9 @@ class Verdict:
     member says whether u lies in the target membership set, subclass
     splits members into nilpotent (with the exact index) versus strictly
     local (locally nilpotent, never exactly 0), and citation names the
-    catalog item that settled it.
+    catalog item that settled it. orbit is the integer orbit outcome
+    when the dispatcher decided it to reach the verdict (|r| >= 2 with
+    empty A), and None otherwise.
     """
 
     decidable: bool
@@ -55,6 +57,7 @@ class Verdict:
     index: int | None = None
     citation: str = ""
     note: str = ""
+    orbit: OrbitOutcome | None = None
 
     @property
     def result(self) -> str | None:
@@ -286,44 +289,33 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
     Fact1 for degree >= 2, the strictly-local catalog for degree 1).
     Everything else returns decidable=False.
     """
-    return _classify_deciding(u, r, A, caps)[0]
-
-
-def _classify_deciding(
-    u: Polynomial, r: int, A: "PrimeSet | None", caps: dict
-) -> tuple[Verdict, OrbitOutcome | None]:
-    """classify's verdict, with the integer orbit outcome when the dispatch
-    decided it (|r| >= 2 with empty A) and None otherwise, so that a caller
-    needing both decides each orbit once."""
     _require_nonzero(u)
     A = _as_prime_set(A)
     if len(A) == 0:
         if r == 1:
-            return classify_L1(u), None
+            return classify_L1(u)
         if r == -1:
             mirror = classify_L1(u.negate_conjugate())
-            return replace(mirror, citation=mirror_item(mirror.citation)), None
+            return replace(mirror, citation=mirror_item(mirror.citation))
         if r == 0:
-            return classify_L0(u), None
+            return classify_L0(u)
         outcome = decide_nilpotency(u, r, **caps)
         if outcome.kind is OrbitKind.REACHED_ZERO:
-            verdict = _nilpotent(outcome.index, "Def.N")
-        elif outcome.kind is OrbitKind.EXHAUSTED:
-            verdict = _undecidable(
-                f"orbit of {u} at {r} undecided at the resource caps"
-            )
-        elif u.degree == 0:
-            verdict = _non_member(
-                "Def.L", "constants are outside every membership set"
-            )
-        elif u.degree >= 2:
-            verdict = _non_member("Fact1")
-        else:
-            verdict = classify_Sr_linear(u, r)
-        return verdict, outcome
+            return Verdict(True, True, NILPOTENT, outcome.index, "Def.N", orbit=outcome)
+        if outcome.kind is OrbitKind.EXHAUSTED:
+            note = f"orbit of {u} at {r} undecided at the resource caps"
+            return Verdict(False, None, note=note, orbit=outcome)
+        if u.degree == 0:
+            note = "constants are outside every membership set"
+            return Verdict(True, False, citation="Def.L", note=note, orbit=outcome)
+        if u.degree >= 2:
+            return Verdict(True, False, citation="Fact1", orbit=outcome)
+        v = classify_Sr_linear(u, r)
+        return Verdict(v.decidable, v.member, v.subclass, v.index, v.citation,
+                       v.note, outcome)
     if r == 1 and u.degree == 1:
-        return classify_L1A_linear(u, A), None
+        return classify_L1A_linear(u, A)
     return _undecidable(
         f"no exact classifier for r={r}, A={A}, degree={u.degree}; "
         "use certify_local (a refutation there is a proof of non-membership)"
-    ), None
+    )

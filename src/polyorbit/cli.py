@@ -20,7 +20,8 @@ import sys
 import time
 
 from .classify import classify
-from .modular import PrimeSet, certify_local, is_prime, lemma1_witnesses, primes_up_to
+from .modular import (PrimeSet, certify_local, check_prime_bound, is_prime,
+                      lemma1_witnesses, primes_up_to)
 from .orbits import (
     MAX_BITS_DEFAULT,
     MAX_STEPS_DEFAULT,
@@ -29,7 +30,8 @@ from .orbits import (
     decide_nilpotency,
 )
 from .polynomials import Polynomial, PolynomialSyntaxError, ReductionError, parse_poly
-from .trap import TRAP_CAP_DEFAULT, trap_first_hits, trap_fixed_points
+from .trap import (TRAP_CAP_DEFAULT, check_trap_budget, trap_first_hits,
+                   trap_fixed_points)
 from .verify import SearchSpace, explore_LN_of_u, explore_N_of_u, verify_theorem
 
 EXIT_OK = 0
@@ -221,8 +223,8 @@ def _explore_result(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
     args.prime_bound = min(args.prime_bound, args.trap_cap)  # the bound swept
-    if args.prime_bound < 2:
-        raise ValueError(f"prime bound must be >= 2, got {args.prime_bound}")
+    check_trap_budget(args.prime_bound)
+    check_prime_bound(args.prime_bound)
     per_prime = []
     all_ok = True
     for p in primes_up_to(args.prime_bound):

@@ -6,8 +6,8 @@ Every other linear map is walked around its permutation cycle keeping
 only the current residue; the cycle is recorded only when it refutes.
 
 Primality is decided by sieve / trial division only; certificates must be
-unconditional, so probabilistic tests are off the table. Sieves stop at
-PRIME_BOUND_MAX.
+unconditional, so probabilistic tests are off the table. Sieves and trial
+divisors stop at PRIME_BOUND_MAX.
 """
 
 from __future__ import annotations
@@ -22,29 +22,49 @@ from .polynomials import Polynomial
 PRIME_BOUND_MAX = 10**7
 
 
+def _trial_division_exhausted(n: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"trial division of {n} would pass the divisor budget of {PRIME_BOUND_MAX}"
+    )
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic trial-division primality check. Divisors stop at
+    PRIME_BOUND_MAX: a number with no divisor up to there whose square
+    root is larger raises BudgetExceededError."""
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
+    top = PRIME_BOUND_MAX * PRIME_BOUND_MAX  # no divisor above PRIME_BOUND_MAX is tried
+    if n < top:
+        top = n
     f = 3
-    while f * f <= n:
+    while f * f <= top:
         if n % f == 0:
             return False
         f += 2
+    if f * f <= n:
+        raise _trial_division_exhausted(n)
     return True
+
+
+def check_prime_bound(bound: int) -> None:
+    """Refuse a prime bound below 2 or above PRIME_BOUND_MAX, the sieve's."""
+    if bound < 2:
+        raise ValueError(f"prime bound must be >= 2, got {bound}")
+    if bound > PRIME_BOUND_MAX:
+        raise BudgetExceededError(
+            f"prime bound {bound} exceeds the sieve budget of {PRIME_BOUND_MAX}"
+        )
 
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending, by sieve of Eratosthenes. A bound
     above PRIME_BOUND_MAX raises BudgetExceededError before any allocation."""
-    if bound > PRIME_BOUND_MAX:
-        raise BudgetExceededError(
-            f"prime bound {bound} exceeds the sieve budget of {PRIME_BOUND_MAX}"
-        )
     if bound < 2:
         return []
+    check_prime_bound(bound)
     sieve = bytearray(b"\x01") * (bound + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, int(bound**0.5) + 1):
@@ -55,7 +75,8 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (desk-scale inputs)."""
+    """Prime factorization of |n| by trial division (desk-scale inputs).
+    Divisors stop at PRIME_BOUND_MAX, as in is_prime."""
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -64,12 +85,19 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    top = PRIME_BOUND_MAX * PRIME_BOUND_MAX  # as in is_prime, lowered as n shrinks
+    if n < top:
+        top = n
     f = 5
-    while f * f <= n:
+    while f * f <= top:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
+            if n < top:
+                top = n
         f += 2
+    if f * f <= n:
+        raise _trial_division_exhausted(n)
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -229,8 +257,7 @@ def certify_local(
     certificates computed so far are kept for diagnostics. Primes are
     processed in ascending order, so reports are deterministic.
     """
-    if prime_bound < 2:
-        raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
+    check_prime_bound(prime_bound)
     certificates = []
     for p in _primes_outside(prime_bound, _as_prime_set(A)):
         cert = orbit_mod_p(u, r, p)
@@ -295,8 +322,7 @@ def lemma1_witnesses(
     (otherwise a caller logic error: such witnesses cannot exist for almost
     all primes), and a prime bound of at least 2.
     """
-    if prime_bound < 2:
-        raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
+    check_prime_bound(prime_bound)
     if alpha == 0 or beta == 0 or gamma == 0:
         raise LemmaPreconditionError("alpha, beta, gamma must all be nonzero")
     for num, den in ((beta, gamma), (gamma, beta)):

@@ -198,10 +198,6 @@ class Polynomial:
         return f'Polynomial("{self}")'
 
 
-X = Polynomial((0, 1))
-ONE = Polynomial((1,))
-
-
 def linear(a: int, b: int) -> Polynomial:
     """The polynomial a*x + b."""
     return Polynomial((b, a))
@@ -231,6 +227,18 @@ def parse_poly(text: str) -> Polynomial:
     return _parse_expression(text)
 
 
+def _coefficient(digits: str, pos: int) -> int:
+    """int(digits), with Python's digit-count limit on integer conversion
+    reported as a syntax error at pos."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolynomialSyntaxError(
+            f"coefficient of {len(digits.lstrip('+-'))} digits exceeds the "
+            "integer conversion limit", pos
+        ) from None
+
+
 def _parse_coeff_list(text: str) -> Polynomial:
     coeffs = []
     offset = 0
@@ -241,7 +249,7 @@ def _parse_coeff_list(text: str) -> Polynomial:
             raise PolynomialSyntaxError(
                 f"non-integer coefficient {stripped!r}", pos
             )
-        coeffs.append(int(stripped))
+        coeffs.append(_coefficient(stripped, pos))
         offset += len(token) + 1
     return Polynomial(coeffs)
 
@@ -263,7 +271,7 @@ def _expression_terms(text: str) -> Iterator[tuple[int, int]]:
         m = re.compile(r"\d+").match(text, pos)
         coeff = None
         if m:
-            coeff = int(m.group())
+            coeff = _coefficient(m.group(), pos)
             pos = _WS_RE.match(text, m.end()).end()
         exponent = 0
         if pos < n and text[pos] == "x":

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .modular import is_prime
+from .orbits import BudgetExceededError
 
 TRAP_CAP_DEFAULT = 101
+TRAP_CAP_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,17 @@ def trap_step(pt: TrapPoint) -> TrapPoint:
     return TrapPoint(*_step(pt.x, pt.y, pt.p), pt.p)
 
 
+def check_trap_budget(bound: int) -> None:
+    """Refuse a prime above TRAP_CAP_MAX: the checks walk p^2 points."""
+    if bound > TRAP_CAP_MAX:
+        raise BudgetExceededError(
+            f"trap bound {bound} exceeds the budget of {TRAP_CAP_MAX} "
+            "(p^2 points per prime p)"
+        )
+
+
 def _check_prime_cap(p: int, cap: int) -> None:
+    check_trap_budget(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > cap:

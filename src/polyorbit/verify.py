@@ -21,12 +21,11 @@ from .classify import (
     NILPOTENT,
     THM1_SHAPES,
     Verdict,
-    _classify_deciding,
-    classify,  # unused here, but perfbench's tracer wraps this binding
+    classify,
     mirror_item,
 )
-from .modular import (PrimeSet, _as_prime_set, certify_local, factorize,
-                      prime_support)
+from .modular import (PrimeSet, _as_prime_set, certify_local,
+                      check_prime_bound, factorize, prime_support)
 from .orbits import BudgetExceededError, OrbitKind, OrbitOutcome, decide_nilpotency
 from .polynomials import Polynomial, linear
 
@@ -48,8 +47,7 @@ class SearchSpace:
     def __post_init__(self):
         if self.degree < 1 or self.coeff_bound < 0:
             raise ValueError("degree must be >= 1 and coeff_bound >= 0")
-        if self.prime_bound < 2:
-            raise ValueError(f"prime bound must be >= 2, got {self.prime_bound}")
+        check_prime_bound(self.prime_bound)
         object.__setattr__(self, "A", _as_prime_set(self.A))
 
     @property
@@ -136,9 +134,8 @@ def _evidence(
     that cycles or escapes is certified: an orbit reaching 0 at step n
     hits 0 mod every prime by step n, so no prime can refute it.
     """
-    verdict, outcome = _classify_deciding(u, r, A, caps)
-    if outcome is None:
-        outcome = decide_nilpotency(u, r, **caps)
+    verdict = classify(u, r, A, **caps)
+    outcome = verdict.orbit or decide_nilpotency(u, r, **caps)
     refuted_at = None
     if verdict.decidable and outcome.kind in (OrbitKind.CYCLE, OrbitKind.ESCAPED):
         refuted_at = certify_local(u, r, A, prime_bound).refuted_at
@@ -270,8 +267,7 @@ def explore_LN_of_u(
         raise ValueError("the zero polynomial has no orbit analysis")
     if r_bound < 0:
         raise ValueError("r_bound must be >= 0")
-    if prime_bound < 2:
-        raise ValueError(f"prime bound must be >= 2, got {prime_bound}")
+    check_prime_bound(prime_bound)
     entries = []
     for r in range(-r_bound, r_bound + 1):
         verdict, outcome, refuted_at = _evidence(u, r, None, prime_bound, caps)

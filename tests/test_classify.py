@@ -277,6 +277,27 @@ class TestDispatcher:
         assert v.member is None and v.result is None and v.note
 
 
+class TestVerdictOrbit:
+    """The dispatcher hands over the integer orbit it decided, and only
+    that one."""
+
+    POLYS = [Polynomial(vec) for vec in product(range(-2, 3), repeat=3) if any(vec)]
+
+    @pytest.mark.parametrize("caps", [{}, {"max_steps": 2}])
+    def test_orbit_is_the_outcome_decided_at_large_r(self, caps):
+        for u in self.POLYS:
+            for r in (-4, -3, -2, 2, 3, 4):
+                assert classify(u, r, None, **caps).orbit == \
+                    decide_nilpotency(u, r, **caps)
+
+    def test_no_orbit_where_the_dispatcher_decides_none(self):
+        for u in self.POLYS:
+            for r in (-1, 0, 1):
+                assert classify(u, r).orbit is None
+            for r in range(-4, 5):
+                assert classify(u, r, PrimeSet([2])).orbit is None
+
+
 class TestCoherence:
     def test_conjugation_coherence(self):
         """classify(u, r) and classify(-u(-x), -r) agree in result and

@@ -18,6 +18,7 @@ from polyorbit.cli import (
     main,
 )
 from polyorbit.modular import PRIME_BOUND_MAX
+from polyorbit.trap import TRAP_CAP_MAX
 
 
 def run_cli(capsys, *argv):
@@ -318,7 +319,11 @@ class TestCapsAndBounds:
         ["certify", "-u", "x+1", "-r", "1"],
         ["lemma1", "--alpha", "2", "--beta", "3", "--gamma", "5"],
         ["verify-theorem", "-r", "1", "--degree", "1", "--coeff-bound", "1"],
+        ["verify-theorem", "-r", "1", "--degree", "1", "--coeff-bound", "0"],
+        ["verify-theorem", "-r", "2", "-A", "3", "--degree", "1",
+         "--coeff-bound", "1"],
         ["explore", "-u", "x+1", "--set", "LN", "--r-bound", "1"],
+        ["explore", "-u", "x", "--set", "LN", "--r-bound", "0"],
     ])
     @pytest.mark.parametrize("bound", [PRIME_BOUND_MAX + 1, 10**9])
     def test_prime_bound_over_the_sieve_budget(self, capsys, small_peak,
@@ -328,3 +333,50 @@ class TestCapsAndBounds:
         assert out == ""
         assert err == (f"budget exhausted: prime bound {bound} exceeds the "
                        f"sieve budget of {PRIME_BOUND_MAX}\n")
+
+    @pytest.mark.parametrize("bound", [TRAP_CAP_MAX + 9, 10**9])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_trap_bound_over_the_trap_budget(self, capsys, monkeypatch,
+                                             small_peak, bound, via_env):
+        if via_env:
+            monkeypatch.setenv("POLYORBIT_TRAP_CAP", str(bound))
+            command = ["trap", "--primes", str(bound)]
+        else:
+            command = ["trap", "--primes", str(bound), "--trap-cap", str(bound)]
+        code, out, err = run_cli(capsys, *command)
+        assert code == EXIT_UNDECIDED
+        assert out == ""
+        assert err == (f"budget exhausted: trap bound {bound} exceeds the "
+                       f"budget of {TRAP_CAP_MAX} (p^2 points per prime p)\n")
+
+    def test_trap_cap_alone_may_exceed_the_trap_budget(self, capsys):
+        code, doc = run_json(capsys, "trap", "--primes", "7",
+                             "--trap-cap", "1000000000")
+        assert code == EXIT_OK
+        assert doc["inputs"] == {"prime_bound": 7}
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "-u", "x+1", "-r", "1", "-A", str(10**15 + 37)],
+        ["classify", "-u", "2x+1", "-r", str(10**15 + 37)],
+    ])
+    def test_trial_division_over_the_divisor_budget(self, capsys, command):
+        code, out, err = run_cli(capsys, *command)
+        assert code == EXIT_UNDECIDED
+        assert out == ""
+        assert err == (f"budget exhausted: trial division of {10**15 + 37} would "
+                       f"pass the divisor budget of {PRIME_BOUND_MAX}\n")
+
+    def test_trial_division_within_the_divisor_budget(self, capsys):
+        code, doc = run_json(capsys, "classify", "-u", "x+1", "-r", "1",
+                             "-A", str(10**14 + 31))
+        assert code == EXIT_OK
+        assert doc["inputs"]["A"] == [10**14 + 31]
+
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 5000 + "x", 0), ("1," + "2" * 5000, 2), ("x+" + "3" * 5000, 2),
+    ], ids=["leading-term", "coefficient-list", "constant-term"])
+    def test_oversized_coefficient_is_usage_error(self, capsys, text, position):
+        code, out, err = run_cli(capsys, "orbit", "-u", text, "-r", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert "bad polynomial: coefficient of 5000 digits exceeds the " \
+            f"integer conversion limit (at position {position})" in err

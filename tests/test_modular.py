@@ -14,6 +14,7 @@ from polyorbit import (
     PrimeSet,
     certify_local,
     decide_nilpotency,
+    factorize,
     generate_list_members,
     is_integer_power,
     is_prime,
@@ -40,7 +41,34 @@ class TestPrimes:
         assert len(ps) == 25 and ps[-1] == 97
 
     def test_sieve_matches_trial_division(self):
-        assert primes_up_to(2000) == [n for n in range(2001) if is_prime(n)]
+        assert primes_up_to(10**4) == [n for n in range(10**4 + 1) if is_prime(n)]
+
+    def test_trial_division_within_the_divisor_budget(self):
+        assert is_prime(10**14 + 31)  # its square root is PRIME_BOUND_MAX
+        assert factorize(10**14 + 31) == {10**14 + 31: 1}
+
+    def test_trial_division_over_the_divisor_budget(self):
+        with pytest.raises(BudgetExceededError, match="divisor budget"):
+            is_prime(10**15 + 37)
+        with pytest.raises(BudgetExceededError, match="divisor budget"):
+            factorize(10**15 + 37)
+
+    def test_factorize_unchanged_below_the_budget(self):
+        assert factorize(2**200) == {2: 200}
+        assert factorize(6 * (10**12 + 39)) == {2: 1, 3: 1, 10**12 + 39: 1}
+        assert factorize(-(3**40) * 5**20 * 7) == {3: 40, 5: 20, 7: 1}
+
+    def test_divisor_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr("polyorbit.modular.PRIME_BOUND_MAX", 100)
+        assert is_prime(10007)  # isqrt is 100: every divisor within budget
+        assert not is_prime(97 * 101) and not is_prime(3 * 101**2)
+        assert factorize(97 * 101) == {97: 1, 101: 1}
+        assert factorize(2 * 10007) == {2: 1, 10007: 1}
+        for n in (101**2, 101 * 103):  # 101 is the first divisor past 100
+            with pytest.raises(BudgetExceededError):
+                is_prime(n)
+            with pytest.raises(BudgetExceededError):
+                factorize(n)
 
     @pytest.mark.parametrize("bound", [PRIME_BOUND_MAX + 1, 10**9])
     def test_bound_over_the_budget_refused_before_allocation(self, bound,

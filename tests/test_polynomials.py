@@ -70,6 +70,15 @@ class TestParse:
             parse_poly(text)
         assert err.value.position == 2
 
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 5000 + "x", 0), ("1," + "2" * 5000, 2), ("x+" + "3" * 5000, 2),
+        ("x - " + "4" * 5000 + "x^2", 4),
+    ], ids=["leading-term", "coefficient-list", "constant-term", "inner-term"])
+    def test_oversized_coefficient_refused_at_its_position(self, text, position):
+        with pytest.raises(PolynomialSyntaxError, match="5000 digits") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
     def test_non_integer_coefficient(self):
         with pytest.raises(PolynomialSyntaxError) as err:
             parse_poly("1,2.5,3")

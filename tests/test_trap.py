@@ -3,6 +3,7 @@
 import pytest
 
 from polyorbit import (
+    BudgetExceededError,
     TrapPoint,
     primes_up_to,
     trap_first_hits,
@@ -10,6 +11,7 @@ from polyorbit import (
     trap_step,
     verify_trap_nilpotence,
 )
+from polyorbit.trap import TRAP_CAP_MAX
 
 
 class TestTrapStep:
@@ -98,3 +100,20 @@ def test_first_hits_match_plain_walk(p):
     want = _walk_first_hits(p)
     assert got == want
     assert list(got) == list(want)
+
+
+class TestTrapBudget:
+    @pytest.mark.parametrize("check", [trap_first_hits, trap_fixed_points])
+    @pytest.mark.parametrize("p", [1009, 10**9 + 7])
+    def test_prime_over_the_budget_refused_before_allocation(self, check, p,
+                                                            small_peak):
+        assert p > TRAP_CAP_MAX
+        with pytest.raises(BudgetExceededError, match="trap bound"):
+            check(p, cap=p)
+
+    def test_budget_admits_its_own_bound(self, monkeypatch):
+        monkeypatch.setattr("polyorbit.trap.TRAP_CAP_MAX", 7)
+        assert len(trap_first_hits(7, cap=100)) == 49
+        assert trap_fixed_points(7, cap=100) == [TrapPoint(0, 0, 7)]
+        with pytest.raises(BudgetExceededError):
+            trap_first_hits(11, cap=100)

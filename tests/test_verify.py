@@ -341,3 +341,52 @@ def test_local_window_decides_each_orbit_once(monkeypatch, caps):
     u = parse_poly("x^2-5x+6")
     explore_LN_of_u(u, 4, 50, **caps)
     assert calls == [(u, r) for r in range(-4, 5)]
+
+
+def _counting_classify(monkeypatch):
+    """Route the harness's classify through a recorder of (u, r)."""
+    import polyorbit.verify
+
+    calls = []
+
+    def counted(u, r, A=None, **caps):
+        calls.append((u, r))
+        return classify(u, r, A, **caps)
+
+    monkeypatch.setattr(polyorbit.verify, "classify", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r,A,caps", [
+    (1, None, {}), (0, None, {}), (3, None, {}), (-2, None, {}),
+    (2, [3], {}), (1, [2], {}), (2, None, {"max_steps": 2}),
+])
+def test_harness_classifies_each_candidate_once(monkeypatch, r, A, caps):
+    calls = _counting_classify(monkeypatch)
+    space = SearchSpace(degree=2, coeff_bound=1, r=r, A=A or (), prime_bound=30)
+    verify_theorem(space, **caps)
+    assert calls == [(u, r) for u in space.candidates()]
+
+
+@pytest.mark.parametrize("caps", [{}, {"max_steps": 2}])
+def test_local_window_classifies_each_start_once(monkeypatch, caps):
+    calls = _counting_classify(monkeypatch)
+    u = parse_poly("x^2-5x+6")
+    explore_LN_of_u(u, 4, 50, **caps)
+    assert calls == [(u, r) for r in range(-4, 5)]
+
+
+def test_benchmark_tracer_sees_the_harness_classify():
+    """perfbench's classify span wraps polyorbit.verify.classify, so a
+    traced box counts one classify call per candidate."""
+    from spans import Tracer
+
+    space = SearchSpace(degree=1, coeff_bound=2, r=3, prime_bound=30)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        verify_theorem(space)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["classify.classify"] == space.cardinality
+    assert tracer.counters["classify.classify.decidable"] == space.cardinality
