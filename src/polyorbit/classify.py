@@ -241,43 +241,55 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
     This is a structural test for the strictly-local catalog only; the
     dispatcher settles nilpotent membership before calling it.
     """
+    return _sr_linear(u, r, None)
+
+
+def _sr_linear(u: Polynomial, r: int, orbit: OrbitOutcome | None) -> Verdict:
+    """classify_Sr_linear's verdict, carrying orbit, built once."""
     _require_nonzero(u)
     if u.degree != 1:
         raise ValueError("this classifier covers degree 1 only")
     if abs(r) < 2:
         raise ValueError("this classifier covers |r| >= 2 only")
     if r < 0:
-        mirror = classify_Sr_linear(u.negate_conjugate(), -r)
-        return replace(mirror, citation=mirror_item(mirror.citation))
+        subclass, citation, note = _sr_linear_item(u.negate_conjugate(), -r)
+        citation = mirror_item(citation)
+    else:
+        subclass, citation, note = _sr_linear_item(u, r)
+    return Verdict(True, subclass is not None, subclass, None, citation, note, orbit)
+
+
+def _sr_linear_item(u: Polynomial, r: int) -> tuple[str | None, str, str]:
+    """The (subclass, citation, note) of linear u at r >= 2: subclass is
+    STRICTLY_LOCAL for a member and None for a non-member."""
     r_fac = factorize(r)
     r_primes = set(r_fac)
     a, b = u.lead, u.constant
     if a == 1 and b != 0 and prime_support(b) <= r_primes:
         if b > 0:
-            return _strictly_local("Thm4.1")
+            return STRICTLY_LOCAL, "Thm4.1", ""
         b_fac = factorize(-b)
         if any(e > r_fac[q] for q, e in b_fac.items()):
-            return _strictly_local("Thm4.2")
-        return _non_member(
-            "Thm4",
-            f"nilpotent at {r} (index {r // -b}), hence not strictly local",
-        )
+            return STRICTLY_LOCAL, "Thm4.2", ""
+        note = f"nilpotent at {r} (index {r // -b}), hence not strictly local"
+        return None, "Thm4", note
     if abs(a) >= 2 and b != 0 and prime_support(a) <= prime_support(b):
         scaled = r * (a - 1) + b
         if scaled % b == 0:
             m = is_integer_power(a, scaled // b)
             if m is not None and m >= 1:
                 if b == r:
-                    return _strictly_local("Thm4.3")
+                    return STRICTLY_LOCAL, "Thm4.3", ""
                 if (a, b) == (-2, -r):
-                    return _strictly_local("Thm4.4")
-                return _strictly_local(
+                    return STRICTLY_LOCAL, "Thm4.4", ""
+                return (
+                    STRICTLY_LOCAL,
                     "Rem3",
                     f"member by the power condition r(a-1)=b(a^{m}-1) with "
                     "support(a) inside support(b); outside the four "
                     "cataloged shapes",
                 )
-    return _non_member("Thm4")
+    return None, "Thm4", ""
 
 
 def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verdict:
@@ -310,9 +322,7 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
             return Verdict(True, False, citation="Def.L", note=note, orbit=outcome)
         if u.degree >= 2:
             return Verdict(True, False, citation="Fact1", orbit=outcome)
-        v = classify_Sr_linear(u, r)
-        return Verdict(v.decidable, v.member, v.subclass, v.index, v.citation,
-                       v.note, outcome)
+        return _sr_linear(u, r, outcome)
     if r == 1 and u.degree == 1:
         return classify_L1A_linear(u, A)
     return _undecidable(

@@ -55,13 +55,15 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 class _PrimeSetAction(argparse.Action):
-    """Collect -A entries into a PrimeSet, refusing any that is not prime."""
+    """Collect -A entries into a PrimeSet, refusing any that is not prime.
+    Entries are trial-divided once each, in input order, so the first bad
+    entry is the one reported."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        for p in values:
+        for p in dict.fromkeys(values):
             if not is_prime(p):
                 raise argparse.ArgumentError(self, f"entries must be prime; {p} is not")
-        setattr(namespace, self.dest, PrimeSet(values))
+        setattr(namespace, self.dest, PrimeSet._of_primes(values))
 
 
 def _poly_arg(text: str) -> Polynomial:

@@ -122,6 +122,14 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", tuple(ps))
 
+    @classmethod
+    def _of_primes(cls, primes: Iterable[int]) -> "PrimeSet":
+        """A PrimeSet of entries the caller has already shown to be prime,
+        built without trial-dividing them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "primes", tuple(sorted(set(primes))))
+        return self
+
     def __contains__(self, p: int) -> bool:
         return p in self.primes
 

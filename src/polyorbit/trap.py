@@ -5,6 +5,14 @@ and every one of the p^2 starting points lands on (0,0) within p steps
 (so the p-th iterate is identically (0,0)). Any point with a zero
 coordinate maps to (0,0) in one step; for the rest the coordinate ratio
 y/x increases by exactly 1 per step, which is why p steps always suffice.
+
+Both kernels step every one of the p^2 points on each call; that stepping
+is the verification, so nothing is cached between calls. trap_first_hits
+steps each point once, into one flat successor table indexed by x*p + y,
+and then walks that table, stopping each walk at the first point already
+known. trap_fixed_points scans every point, testing the first coordinate
+x^2*y = x first and the second only where that holds. _step is the
+single-point formula that trap_step applies.
 """
 
 from __future__ import annotations
@@ -65,29 +73,53 @@ def _check_prime_cap(p: int, cap: int) -> None:
         raise ValueError(f"p={p} exceeds the cap {cap} (p^2 points)")
 
 
+def _successors(p: int) -> list[int]:
+    """The flat index x*p + y of F(x, y) for every point, listed in flat
+    index order, with x^2 reduced once per row."""
+    return [a * p + (a + x * y * y) % p
+            for x in range(p) for xx in (x * x % p,)
+            for y in range(p) for a in (xx * y % p,)]
+
+
+def _first_hits(nxt: list[int], p: int) -> list[int]:
+    """For every index i of the successor table nxt, the first n in 1..p at
+    which the n-th successor of i is index 0, or 0 if there is none.
+
+    hit(i) = 1 when nxt[i] = 0, else 1 + hit(nxt[i]), so each index is
+    stepped once and its walk stops at the first index already known."""
+    counts = list(range(1, p + 1))  # counts[n] = n + 1: hits share p ints
+    hits = [None] * len(nxt)
+    for start in range(len(nxt)):
+        if hits[start] is not None:
+            continue
+        path, i = [], start
+        while hits[i] is None:
+            hits[i] = 0  # a revisit within this walk is a cycle missing 0
+            path.append(i)
+            i = nxt[i]
+            if i == 0:
+                steps = 0
+                break
+        else:
+            steps = hits[i]
+            if not steps:  # joined a point with no hit within p steps
+                continue
+        for i in reversed(path):
+            if steps >= p:  # this point and those before it take over p steps
+                break
+            hits[i] = steps = counts[steps]
+    return hits
+
+
 def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> dict[tuple[int, int], int]:
     """For every start point, the first step n >= 1 at which the n-th
     iterate is (0,0); a value of 0 marks a point that never got there
     within p steps (which the exhaustive checks show never happens)."""
     _check_prime_cap(p, cap)
-    # hit(pt) = 1 when F(pt) = (0,0), else 1 + hit(F(pt)), so each point is
-    # stepped once and its walk stops at the first point already known.
-    hits = dict.fromkeys(product(range(p), repeat=2))
-    for start in hits:
-        path, pt = [], start
-        while hits[pt] is None:
-            hits[pt] = 0  # a revisit within this walk is a cycle missing (0,0)
-            path.append(pt)
-            pt = _step(*pt, p)
-            if pt == (0, 0):
-                steps = 0
-                break
-        else:
-            steps = hits[pt] or None
-        for pt in reversed(path):
-            steps = steps + 1 if steps is not None and steps < p else None
-            hits[pt] = steps or 0
-    return hits
+    nxt = _successors(p)
+    hits = _first_hits(nxt, p)
+    del nxt  # freed before the dict is built, which lowers the peak
+    return dict(zip(product(range(p), repeat=2), hits))
 
 
 def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
@@ -99,5 +131,8 @@ def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
 def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:
     """All fixed points of the map over F_p; expected exactly [(0,0)]."""
     _check_prime_cap(p, cap)
-    return [TrapPoint(x, y, p) for x, y in product(range(p), repeat=2)
-            if _step(x, y, p) == (x, y)]
+    # A fixed point has x^2*y = x, so the second coordinate, x + x*y^2,
+    # is needed only where that holds.
+    return [TrapPoint(x, y, p)
+            for x in range(p) for xx in (x * x % p,)
+            for y in range(p) if xx * y % p == x and (x + x * y * y) % p == y]

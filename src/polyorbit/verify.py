@@ -221,16 +221,27 @@ def verify_theorem(
     )
 
 
-def explore_N_of_u(u: Polynomial, r_bound: int, **caps) -> list[tuple[int, int | None]]:
-    """Start points r in [-r_bound, r_bound] whose orbit reaches 0, with
-    the exact index; an index of None marks a start point the caps left
-    undecided (possible only under tiny budgets)."""
+def _window(u: Polynomial, r_bound: int) -> range:
+    """The start points [-r_bound, r_bound] that the explore functions
+    visit, refused above CANDIDATE_BUDGET_DEFAULT points."""
     if u.is_zero():
         raise ValueError("the zero polynomial has no orbit analysis")
     if r_bound < 0:
         raise ValueError("r_bound must be >= 0")
+    window = range(-r_bound, r_bound + 1)
+    if len(window) > CANDIDATE_BUDGET_DEFAULT:
+        raise BudgetExceededError(
+            f"{len(window)} start points exceed the budget of {CANDIDATE_BUDGET_DEFAULT}"
+        )
+    return window
+
+
+def explore_N_of_u(u: Polynomial, r_bound: int, **caps) -> list[tuple[int, int | None]]:
+    """Start points r in [-r_bound, r_bound] whose orbit reaches 0, with
+    the exact index; an index of None marks a start point the caps left
+    undecided (possible only under tiny budgets)."""
     found = []
-    for r in range(-r_bound, r_bound + 1):
+    for r in _window(u, r_bound):
         outcome = decide_nilpotency(u, r, **caps)
         if outcome.kind is OrbitKind.REACHED_ZERO:
             found.append((r, outcome.index))
@@ -263,13 +274,10 @@ def explore_LN_of_u(
     """Local-nilpotency window: every r in [-r_bound, r_bound] with its
     empirical status, consulting the exact classifier first where it is
     decidable."""
-    if u.is_zero():
-        raise ValueError("the zero polynomial has no orbit analysis")
-    if r_bound < 0:
-        raise ValueError("r_bound must be >= 0")
+    window = _window(u, r_bound)
     check_prime_bound(prime_bound)
     entries = []
-    for r in range(-r_bound, r_bound + 1):
+    for r in window:
         verdict, outcome, refuted_at = _evidence(u, r, None, prime_bound, caps)
         if outcome.kind is OrbitKind.EXHAUSTED:
             entries.append(LocalStatusEntry(r, "undecided"))

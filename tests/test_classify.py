@@ -1,6 +1,7 @@
 """The exact classifiers and the dispatcher, cross-checked against the
 orbit engine and the residue certificates."""
 
+import importlib
 import random
 from itertools import product
 
@@ -296,6 +297,31 @@ class TestVerdictOrbit:
                 assert classify(u, r).orbit is None
             for r in range(-4, 5):
                 assert classify(u, r, PrimeSet([2])).orbit is None
+
+
+class TestOneVerdictPerCall:
+    """classify builds the verdict of a linear candidate at |r| >= 2 once,
+    the mirror at r <= -2 included, and carries its orbit in it."""
+
+    @pytest.mark.parametrize("text, r, citation", [
+        ("2x+6", 6, "Thm4.3"), ("2x-6", -6, "Cor4.3"),
+        ("x+5", 10, "Thm4.1"), ("x-2", 9, "Thm4"), ("2x-2", -6, "Rem3"),
+    ])
+    def test_one_construction(self, monkeypatch, text, r, citation):
+        module = importlib.import_module("polyorbit.classify")
+        built = []
+
+        class CountingVerdict(module.Verdict):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(module, "Verdict", CountingVerdict)
+        u = parse_poly(text)
+        v = classify(u, r)
+        assert len(built) == 1
+        assert v.citation == citation
+        assert v.orbit == decide_nilpotency(u, r)
 
 
 class TestCoherence:

@@ -9,6 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import polyorbit.cli
+import polyorbit.modular
 from polyorbit.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -380,3 +382,50 @@ class TestCapsAndBounds:
         assert code == EXIT_USAGE and out == ""
         assert "bad polynomial: coefficient of 5000 digits exceeds the " \
             f"integer conversion limit (at position {position})" in err
+
+
+class TestExcludedPrimes:
+    """Each -A entry is trial-divided once, in input order."""
+
+    def test_one_primality_test_per_entry(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n, real=polyorbit.modular.is_prime):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(polyorbit.cli, "is_prime", counting_is_prime)
+        monkeypatch.setattr(polyorbit.modular, "is_prime", counting_is_prime)
+        code, doc = run_json(capsys, "classify", "-u", "x+1", "-r", "1",
+                             "-A", "7", "3", "7", "101")
+        assert code == EXIT_OK
+        assert doc["inputs"]["A"] == [3, 7, 101]
+        assert sorted(n for n in calls if n in (3, 7, 101)) == [3, 7, 101]
+
+    @pytest.mark.parametrize("entries, code, message", [
+        (["9", "4"], EXIT_USAGE, "entries must be prime; 9 is not"),
+        (["4", str(10**15 + 37)], EXIT_USAGE, "entries must be prime; 4 is not"),
+        ([str(10**15 + 37), "4"], EXIT_UNDECIDED,
+         f"budget exhausted: trial division of {10**15 + 37} would pass the "
+         f"divisor budget of {PRIME_BOUND_MAX}"),
+        (["3", str(10**15 + 37)], EXIT_UNDECIDED,
+         f"budget exhausted: trial division of {10**15 + 37} would pass the "
+         f"divisor budget of {PRIME_BOUND_MAX}"),
+    ])
+    def test_first_bad_entry_in_input_order_is_reported(self, capsys, entries,
+                                                        code, message):
+        got, out, err = run_cli(capsys, "classify", "-u", "x+1", "-r", "1",
+                                "-A", *entries)
+        assert got == code
+        assert out == ""
+        assert message in err
+
+
+@pytest.mark.parametrize("window", ["N", "LN"])
+def test_explore_window_over_the_budget(capsys, small_peak, window):
+    code, out, err = run_cli(capsys, "explore", "-u", "x^2+1", "--set", window,
+                             "--r-bound", "1000000000", "--primes", "5")
+    assert code == EXIT_UNDECIDED
+    assert out == ""
+    assert err == ("budget exhausted: 2000000001 start points exceed the "
+                   "budget of 10000000\n")

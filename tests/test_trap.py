@@ -1,5 +1,7 @@
 """The additive-trap map over F_p, verified exhaustively per prime."""
 
+import random
+
 import pytest
 
 from polyorbit import (
@@ -11,7 +13,7 @@ from polyorbit import (
     trap_step,
     verify_trap_nilpotence,
 )
-from polyorbit.trap import TRAP_CAP_MAX
+from polyorbit.trap import TRAP_CAP_MAX, _first_hits, _step, _successors
 
 
 class TestTrapStep:
@@ -117,3 +119,83 @@ class TestTrapBudget:
         assert trap_fixed_points(7, cap=100) == [TrapPoint(0, 0, 7)]
         with pytest.raises(BudgetExceededError):
             trap_first_hits(11, cap=100)
+
+
+PRIMES_TO_101 = primes_up_to(101)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_first_hits_match_the_ratio_closed_form(p):
+    """A point with a zero coordinate hits (0,0) at step 1. Otherwise the
+    ratio t = y/x grows by 1 per step; t = -1 sends the point to the
+    x-axis and the next step to (0,0), so the first hit is
+    ((-1 - t) mod p) + 2."""
+    want = {
+        (x, y): 1 if x * y % p == 0 else (-1 - y * pow(x, -1, p)) % p + 2
+        for x in range(p) for y in range(p)
+    }
+    got = trap_first_hits(p)
+    assert got == want
+    assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_fixed_points_match_a_brute_force_scan(p):
+    want = [pt for pt in (TrapPoint(x, y, p) for x in range(p) for y in range(p))
+            if trap_step(pt) == pt]
+    assert trap_fixed_points(p) == want
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_successor_table_matches_the_step(p):
+    want = [x2y * p + y2 for x2y, y2 in
+            (_step(x, y, p) for x in range(p) for y in range(p))]
+    assert _successors(p) == want
+
+
+def _plain_first_hits(nxt, p):
+    """Reference: walk every index separately for at most p steps."""
+    hits = []
+    for start in range(len(nxt)):
+        i, first = start, 0
+        for n in range(1, p + 1):
+            i = nxt[i]
+            if i == 0:
+                first = n
+                break
+        hits.append(first)
+    return hits
+
+
+class TestFirstHitsWalk:
+    """The memoised walk on successor tables that the trap map never
+    produces: cycles that miss index 0, chains longer than p, and walks
+    that join points already walked, from either side."""
+
+    @pytest.mark.parametrize("nxt, p, want", [
+        # 1 -> 2 -> 3 -> 1 misses 0; 4 joins the cycle after it is walked.
+        ([0, 2, 3, 1, 1], 5, [1, 0, 0, 0, 0]),
+        # 4 -> 3 -> 2 -> 1 -> 0 is walked from its bottom, each walk
+        # joining the one before; 4 is over p = 3.
+        ([0, 0, 1, 2, 3], 3, [1, 1, 2, 3, 0]),
+        # 1 -> 2 -> 3 -> 4 -> 0 is walked from its top in one walk; 1 is
+        # over p = 3.
+        ([0, 2, 3, 4, 0], 3, [1, 0, 3, 2, 1]),
+        # 5 and 6 join 4, which is over p = 3; 7 joins 2 below the cap.
+        ([0, 0, 1, 2, 3, 4, 4, 2], 3, [1, 1, 2, 3, 0, 0, 0, 3]),
+        # index 0 is not fixed: its first hit is its return through 1.
+        ([1, 0, 1], 2, [2, 1, 2]),
+        ([1, 2, 0], 2, [0, 2, 1]),
+    ])
+    def test_hand_made_tables(self, nxt, p, want):
+        assert _plain_first_hits(nxt, p) == want
+        assert _first_hits(nxt, p) == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tables(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            size = rng.randint(1, 40)
+            nxt = [rng.randrange(size) for _ in range(size)]
+            p = rng.randint(1, size + 2)
+            assert _first_hits(nxt, p) == _plain_first_hits(nxt, p)

@@ -145,6 +145,28 @@ class TestExploreLN:
             explore_LN_of_u(u, 0, 1)
 
 
+EXPLORERS = [explore_N_of_u, lambda u, r_bound: explore_LN_of_u(u, r_bound, 5)]
+
+
+class TestExploreBudget:
+    """Both explore functions refuse a window over CANDIDATE_BUDGET_DEFAULT
+    start points before visiting any."""
+
+    @pytest.mark.parametrize("explore", EXPLORERS, ids=["N", "LN"])
+    def test_window_over_the_budget_refused(self, explore, small_peak):
+        with pytest.raises(BudgetExceededError,
+                           match="10000001 start points exceed the budget of 10000000"):
+            explore(parse_poly("x^2+1"), 5 * 10**6)
+
+    @pytest.mark.parametrize("explore", EXPLORERS, ids=["N", "LN"])
+    def test_budget_admits_its_own_bound(self, explore, monkeypatch):
+        monkeypatch.setattr("polyorbit.verify.CANDIDATE_BUDGET_DEFAULT", 7)
+        explore(linear(1, -1), 3)
+        with pytest.raises(BudgetExceededError,
+                           match="9 start points exceed the budget of 7"):
+            explore(linear(1, -1), 4)
+
+
 class TestGenerators:
     def test_index_two_family(self):
         members = generate_list_members("Thm1.2")
