@@ -22,7 +22,8 @@ hunt for a refuting prime, and a refutation is a proof of non-membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 from .modular import (
     PrimeSet,
@@ -135,15 +136,21 @@ def classify_L1(u: Polynomial) -> Verdict:
     p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 + p(x)(x-1)(x-2)(x-3), index 3;
     (4) x+1, strictly local.
     """
+    return _classify_L1(u, lambda citation: citation)
+
+
+def _classify_L1(u: Polynomial, cite: Callable[[str], str]) -> Verdict:
+    """classify_L1's verdict with its citation mapped by cite, so the r=-1
+    mirror builds one Verdict."""
     _require_nonzero(u)
     for citation, index, base, modulus in THM1_SHAPES:
         # modulus = (x-1)...(x-index) is monic with distinct integer roots,
         # so it divides u - base exactly when u = base at each root.
         if all(u.evaluate(j) == base.evaluate(j) for j in range(1, index + 1)):
-            return _nilpotent(index, citation)
+            return _nilpotent(index, cite(citation))
     if u == _X_PLUS_1:
-        return _strictly_local("Thm1.4")
-    return _non_member("Thm1")
+        return _strictly_local(cite("Thm1.4"))
+    return _non_member(cite("Thm1"))
 
 
 def classify_L0(u: Polynomial) -> Verdict:
@@ -307,8 +314,7 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
         if r == 1:
             return classify_L1(u)
         if r == -1:
-            mirror = classify_L1(u.negate_conjugate())
-            return replace(mirror, citation=mirror_item(mirror.citation))
+            return _classify_L1(u.negate_conjugate(), mirror_item)
         if r == 0:
             return classify_L0(u)
         outcome = decide_nilpotency(u, r, **caps)

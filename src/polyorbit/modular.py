@@ -1,9 +1,17 @@
 """Residue-orbit machinery mod p: hitting-time certificates, whole-range
 certification of local nilpotency, and the cyclic-subgroup witness search.
 
-A translation x+b reaches 0 mod p at m_p = -r/b mod p, in closed form.
-Every other linear map is walked around its permutation cycle keeping
-only the current residue; the cycle is recorded only when it refutes.
+One smallest-prime-factor table serves the whole module: it lists the
+primes, certifies that a sieved p is prime, and factors every p-1 by
+lookup. It grows to the largest prime bound asked for, never past
+PRIME_BOUND_MAX, and never shrinks.
+
+Linear maps are answered without walking to the hit. A translation x+b
+reaches 0 mod p at m_p = -r/b mod p. Any other u = ax+b with a != 0, 1
+mod p has fixed point c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p
+is the discrete log of c/(c-r) to base a, found by Pohlig-Hellman over
+the factors of ord_p(a). Only a refuting prime is walked, once, to
+record its cycle.
 
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. Sieves and trial
@@ -12,14 +20,19 @@ divisors stop at PRIME_BOUND_MAX.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .orbits import BudgetExceededError
 from .polynomials import Polynomial
 
 PRIME_BOUND_MAX = 10**7
+
+# _spf[n] is the smallest prime factor of n for 2 <= n < len(_spf).
+_spf = array("I", (0, 1))
 
 
 def _trial_division_exhausted(n: int) -> BudgetExceededError:
@@ -59,28 +72,49 @@ def check_prime_bound(bound: int) -> None:
         )
 
 
+def _table(bound: int) -> array:
+    """The smallest-prime-factor table, first grown to cover bound if it
+    is shorter. Callers check bound against PRIME_BOUND_MAX first."""
+    global _spf
+    if bound >= len(_spf):
+        root = isqrt(bound)
+        small = _table(root)
+        spf = array("I", range(bound + 1))
+        # Descending, so that the smallest prime factor is written last.
+        for q in range(root, 1, -1):
+            if small[q] == q:
+                spf[q * q :: q] = array("I", (q,)) * ((bound - q * q) // q + 1)
+        _spf = spf
+    return _spf
+
+
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending, by sieve of Eratosthenes. A bound
-    above PRIME_BOUND_MAX raises BudgetExceededError before any allocation."""
+    """All primes <= bound, ascending, read from the smallest-prime-factor
+    table. A bound above PRIME_BOUND_MAX raises BudgetExceededError before
+    any allocation."""
     if bound < 2:
         return []
     check_prime_bound(bound)
-    sieve = bytearray(b"\x01") * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(bound**0.5) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    spf = _table(bound)
+    return [n for n in range(2, bound + 1) if spf[n] == n]
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (desk-scale inputs).
-    Divisors stop at PRIME_BOUND_MAX, as in is_prime."""
+    """Prime factorization of |n|, ascending: by lookup in the
+    smallest-prime-factor table when |n| lies inside it (and within
+    PRIME_BOUND_MAX), by trial division otherwise. Trial divisors stop at
+    PRIME_BOUND_MAX, as in is_prime."""
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
     out: dict[int, int] = {}
+    spf = _spf
+    if n < len(spf) and n <= PRIME_BOUND_MAX:
+        while n > 1:
+            q = spf[n]
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        return out
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -207,45 +241,127 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
       m_p = -r/b mod p (p when that is 0), from one modular inverse and
       no walk;
     * any other u = ax+b with a != 0 mod p permutes Z/pZ, so the orbit is
-      a pure cycle through r: the walk keeps only the current residue and
-      stops at 0 (hit) or back at r (refuted, tail length 0), and only a
-      refutation walks its cycle a second time to record it;
+      a pure cycle through r. For a != 1, m_p is the discrete log of
+      c/(c-r) to base a, with c = b/(1-a) the fixed point (see
+      _linear_hitting_time); the identity fixes every residue. Only a
+      refutation walks the cycle, once, to record it (tail length 0);
     * otherwise each step is a Horner evaluation, and the walk stops at 0
       or at the first repeated residue, whose first index is the tail
       length. p+1 residues must repeat, so a repeat before any zero means
       zero is unreachable.
+
+    p is checked prime by the smallest-prime-factor table when it lies
+    inside it, by trial division otherwise.
     """
-    if not is_prime(p):
+    if not (_spf[p] == p if 1 < p < len(_spf) else is_prime(p)):
         raise ValueError(f"{p} is not prime")
     reduced = tuple(c % p for c in reversed(u.coeffs))
-    x = start = r % p
-    if len(reduced) == 2 and reduced[0]:  # the permutation cycle, the hot loop
+    x = r % p
+    if len(reduced) == 2 and reduced[0]:  # u permutes Z/pZ
         a, b = reduced
-        if a == 1 and b:
-            return PrimeCertificate(p, m_p=(-x * pow(b, -1, p)) % p or p)
-        for n in range(1, p + 1):
-            x = (a * x + b) % p
-            if x == 0:
-                return PrimeCertificate(p, m_p=n)
-            if x == start:  # refuted: record the n residues of the cycle
-                values = [x]
-                for _ in range(n - 1):
-                    values.append((a * values[-1] + b) % p)
-                return PrimeCertificate(p, cycle=(0, tuple(values)))
-    else:
-        seen = {x: 0}
-        for n in range(1, p + 2):
-            acc = 0
-            for c in reduced:
-                acc = (acc * x + c) % p
-            x = acc
-            if x == 0:
-                return PrimeCertificate(p, m_p=n)
-            hit = seen.get(x)
-            if hit is not None:
-                return PrimeCertificate(p, cycle=(hit, tuple(seen)[hit:]))
-            seen[x] = n
+        if a != 1:
+            m_p = _linear_hitting_time(a, b, x, p)
+        elif b:
+            m_p = (-x * pow(b, -1, p)) % p or p
+        else:  # the identity
+            m_p = 1 if x == 0 else None
+        if m_p is not None:
+            return PrimeCertificate(p, m_p=m_p)
+        return PrimeCertificate(p, cycle=(0, _linear_cycle(a, b, x, p)))
+    seen = {x: 0}
+    for n in range(1, p + 2):
+        acc = 0
+        for c in reduced:
+            acc = (acc * x + c) % p
+        x = acc
+        if x == 0:
+            return PrimeCertificate(p, m_p=n)
+        hit = seen.get(x)
+        if hit is not None:
+            return PrimeCertificate(p, cycle=(hit, tuple(seen)[hit:]))
+        seen[x] = n
     raise AssertionError("unreachable: pigeonhole guarantees a zero or a repeat")
+
+
+def _linear_cycle(a: int, b: int, x: int, p: int) -> tuple[int, ...]:
+    """The residues of x -> ax+b mod p from x until the walk returns to x
+    (a unit mod p, so the orbit is a pure cycle)."""
+    values = [x]
+    y = (a * x + b) % p
+    while y != x:
+        values.append(y)
+        y = (a * y + b) % p
+    return tuple(values)
+
+
+def _linear_hitting_time(a: int, b: int, x: int, p: int) -> int | None:
+    """The least n >= 1 with u^(n)(x) = 0 mod p for u = ax+b, a != 0, 1
+    mod p, or None when the orbit misses 0.
+
+    With c = b/(1-a), u^(n)(x) - c = a^n (x - c). If x = c the orbit is
+    constant; otherwise u^(n)(x) = 0 exactly when a^n = c/(c-x), which
+    has no solution when c = 0."""
+    c = b * pow(1 - a, -1, p) % p
+    if x == c:
+        return 1 if c == 0 else None
+    if c == 0:
+        return None
+    return _discrete_log(a, c * pow(c - x, -1, p) % p, p)
+
+
+def _discrete_log(a: int, t: int, p: int) -> int | None:
+    """The least n >= 1 with a^n = t mod p, or None when t is not a power
+    of a. t is a unit mod p.
+
+    Pohlig-Hellman: with N = ord_p(a), t is a power of a exactly when
+    t^N = 1. The log mod each prime power q^e dividing N is found one
+    base-q digit at a time, each digit a log in the subgroup of order q,
+    and the parts are joined by the Chinese remainder theorem. A log of 0
+    mod N means n = N."""
+    order = multiplicative_order(a, p)
+    if pow(t, order, p) != 1:
+        return None
+    n, modulus = 0, 1
+    for q, e in factorize(order).items():
+        qe = q**e
+        g = pow(a, order // qe, p)  # order q^e
+        h = pow(t, order // qe, p)
+        g_q = pow(g, qe // q, p)  # order q
+        g_inv = pow(g, -1, p)
+        x, qk = 0, 1
+        for k in range(e):
+            # (h / g^x)^(q^(e-1-k)) = g_q^digit, the k-th base-q digit
+            y = pow(h * pow(g_inv, x, p) % p, qe // (qk * q), p)
+            x += _log_of_order_q(g_q, y, q, p) * qk
+            qk *= q
+        n += modulus * ((x - n) * pow(modulus, -1, qe) % qe)
+        modulus *= qe
+    return n or order
+
+
+def _log_of_order_q(g: int, y: int, q: int, p: int) -> int:
+    """The d in [0, q) with g^d = y mod p, for g of prime order q and y a
+    power of g: brute force for small q, baby-step giant-step above."""
+    if q < 32:
+        acc = 1
+        for d in range(q):
+            if acc == y:
+                return d
+            acc = acc * g % p
+    else:
+        m = isqrt(q - 1) + 1  # m^2 >= q
+        baby = {}
+        acc = 1
+        for j in range(m):
+            baby[acc] = j
+            acc = acc * g % p
+        stride = pow(acc, -1, p)  # g^-m
+        for i in range(m):
+            j = baby.get(y)
+            if j is not None:
+                return i * m + j
+            y = y * stride % p
+    raise AssertionError(f"{y} is not a power of {g} mod {p}")
 
 
 @lru_cache(maxsize=1)  # a harness run certifies every candidate at one (bound, A)

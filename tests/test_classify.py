@@ -1,6 +1,7 @@
 """The exact classifiers and the dispatcher, cross-checked against the
 orbit engine and the residue certificates."""
 
+import dataclasses
 import importlib
 import random
 from itertools import product
@@ -24,7 +25,7 @@ from polyorbit import (
     nilpotency_index,
     parse_poly,
 )
-from polyorbit.classify import THM1_SHAPES
+from polyorbit.classify import THM1_SHAPES, mirror_item
 
 
 def expect(v, member, subclass=None, index=None, citation=None):
@@ -415,3 +416,34 @@ class TestSoundnessVersusEmpirical:
             ]
             u = Polynomial(vec)
             self.check(u, rng.randint(-6, 6), rng.choice(sets))
+
+
+class TestOneVerdictAtMinusOne:
+    """classify at r = -1 builds the mirrored Thm1 verdict once, and it is
+    the r = 1 verdict of the negate-conjugate with its citation mirrored."""
+
+    @pytest.mark.parametrize("text, citation", [
+        ("x+1", "Rem4.1"), ("-2x^2+7x-3", "Rem4"),
+    ])
+    def test_one_construction(self, monkeypatch, text, citation):
+        module = importlib.import_module("polyorbit.classify")
+        built = []
+
+        class CountingVerdict(module.Verdict):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(module, "Verdict", CountingVerdict)
+        v = classify(parse_poly(text), -1)
+        assert len(built) == 1
+        assert v.citation == citation
+
+    def test_mirror_of_the_r_equals_1_verdict(self):
+        for coeffs in product(range(-3, 4), repeat=4):
+            u = Polynomial(coeffs)
+            if u.is_zero():
+                continue
+            mirror = classify_L1(u.negate_conjugate())
+            assert classify(u, -1) == dataclasses.replace(
+                mirror, citation=mirror_item(mirror.citation)), u

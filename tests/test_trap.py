@@ -13,7 +13,7 @@ from polyorbit import (
     trap_step,
     verify_trap_nilpotence,
 )
-from polyorbit.trap import TRAP_CAP_MAX, _first_hits, _step, _successors
+from polyorbit.trap import TRAP_CAP_MAX, _first_hits, _step, _successors, trap_hit_list
 
 
 class TestTrapStep:
@@ -199,3 +199,15 @@ class TestFirstHitsWalk:
             nxt = [rng.randrange(size) for _ in range(size)]
             p = rng.randint(1, size + 2)
             assert _first_hits(nxt, p) == _plain_first_hits(nxt, p)
+
+
+@pytest.mark.parametrize("p", primes_up_to(101))
+def test_hit_list_is_the_first_hits_in_key_order(p):
+    assert trap_hit_list(p) == list(trap_first_hits(p).values())
+
+
+def test_hit_list_checks_the_cap():
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        trap_hit_list(11, cap=7)
+    with pytest.raises(ValueError, match="not prime"):
+        trap_hit_list(9)
