@@ -30,9 +30,8 @@ from .orbits import (
     decide_nilpotency,
 )
 from .polynomials import Polynomial, PolynomialSyntaxError, ReductionError, parse_poly
-# trap_first_hits is bound here, unused, because perfbench/spans.py patches it.
 from .trap import (TRAP_CAP_DEFAULT, check_trap_budget, trap_first_hits,
-                   trap_fixed_points, trap_hit_list)
+                   trap_fixed_points)
 from .verify import SearchSpace, explore_LN_of_u, explore_N_of_u, verify_theorem
 
 EXIT_OK = 0
@@ -231,15 +230,15 @@ def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
     per_prime = []
     all_ok = True
     for p in primes_up_to(args.prime_bound):
-        hits = trap_hit_list(p, cap=args.trap_cap)
+        hits = trap_first_hits(p, cap=args.trap_cap)
         fixed = trap_fixed_points(p, cap=args.trap_cap)
-        nilpotent = all(step >= 1 for step in hits)
+        nilpotent = all(step >= 1 for step in hits.values())
         fixed_ok = [(pt.x, pt.y) for pt in fixed] == [(0, 0)]
         all_ok = all_ok and nilpotent and fixed_ok
         per_prime.append({
             "p": p,
             "nilpotent_by_step_p": nilpotent,
-            "max_first_hit": max(hits),
+            "max_first_hit": max(hits.values()),
             "fixed_points": [[pt.x, pt.y] for pt in fixed],
         })
     result = {"all_ok": all_ok, "primes": per_prime}

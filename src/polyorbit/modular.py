@@ -31,8 +31,10 @@ from .polynomials import Polynomial
 
 PRIME_BOUND_MAX = 10**7
 
-# _spf[n] is the smallest prime factor of n for 2 <= n < len(_spf).
-_spf = array("I", (0, 1))
+# For n < len(_spf): _spf[n] is the smallest prime factor of a composite n,
+# 0 for a prime n and 1 for n < 2. A composite n <= PRIME_BOUND_MAX has a
+# factor <= isqrt(PRIME_BOUND_MAX) = 3162, so two bytes an entry suffice.
+_spf = array("H", (1, 1))
 
 
 def _trial_division_exhausted(n: int) -> BudgetExceededError:
@@ -79,11 +81,12 @@ def _table(bound: int) -> array:
     if bound >= len(_spf):
         root = isqrt(bound)
         small = _table(root)
-        spf = array("I", range(bound + 1))
+        spf = array("H", (0,)) * (bound + 1)
+        spf[0] = spf[1] = 1
         # Descending, so that the smallest prime factor is written last.
         for q in range(root, 1, -1):
-            if small[q] == q:
-                spf[q * q :: q] = array("I", (q,)) * ((bound - q * q) // q + 1)
+            if not small[q]:
+                spf[q * q :: q] = array("H", (q,)) * ((bound - q * q) // q + 1)
         _spf = spf
     return _spf
 
@@ -96,22 +99,21 @@ def primes_up_to(bound: int) -> list[int]:
         return []
     check_prime_bound(bound)
     spf = _table(bound)
-    return [n for n in range(2, bound + 1) if spf[n] == n]
+    return [n for n in range(2, bound + 1) if not spf[n]]
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n|, ascending: by lookup in the
-    smallest-prime-factor table when |n| lies inside it (and within
-    PRIME_BOUND_MAX), by trial division otherwise. Trial divisors stop at
-    PRIME_BOUND_MAX, as in is_prime."""
+    smallest-prime-factor table when |n| lies inside it, by trial division
+    otherwise. Trial divisors stop at PRIME_BOUND_MAX, as in is_prime."""
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
     out: dict[int, int] = {}
     spf = _spf
-    if n < len(spf) and n <= PRIME_BOUND_MAX:
+    if n < len(spf):
         while n > 1:
-            q = spf[n]
+            q = spf[n] or n
             out[q] = out.get(q, 0) + 1
             n //= q
         return out
@@ -253,7 +255,7 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     p is checked prime by the smallest-prime-factor table when it lies
     inside it, by trial division otherwise.
     """
-    if not (_spf[p] == p if 1 < p < len(_spf) else is_prime(p)):
+    if _spf[p] if 0 <= p < len(_spf) else not is_prime(p):
         raise ValueError(f"{p} is not prime")
     reduced = tuple(c % p for c in reversed(u.coeffs))
     x = r % p
@@ -341,26 +343,19 @@ def _discrete_log(a: int, t: int, p: int) -> int | None:
 
 def _log_of_order_q(g: int, y: int, q: int, p: int) -> int:
     """The d in [0, q) with g^d = y mod p, for g of prime order q and y a
-    power of g: brute force for small q, baby-step giant-step above."""
-    if q < 32:
-        acc = 1
-        for d in range(q):
-            if acc == y:
-                return d
-            acc = acc * g % p
-    else:
-        m = isqrt(q - 1) + 1  # m^2 >= q
-        baby = {}
-        acc = 1
-        for j in range(m):
-            baby[acc] = j
-            acc = acc * g % p
-        stride = pow(acc, -1, p)  # g^-m
-        for i in range(m):
-            j = baby.get(y)
-            if j is not None:
-                return i * m + j
-            y = y * stride % p
+    power of g, by baby-step giant-step."""
+    m = isqrt(q - 1) + 1  # m^2 >= q
+    baby = {}
+    acc = 1
+    for j in range(m):
+        baby[acc] = j
+        acc = acc * g % p
+    stride = pow(acc, -1, p)  # g^-m
+    for i in range(m):
+        j = baby.get(y)
+        if j is not None:
+            return i * m + j
+        y = y * stride % p
     raise AssertionError(f"{y} is not a power of {g} mod {p}")
 
 

@@ -7,13 +7,14 @@ coordinate maps to (0,0) in one step; for the rest the coordinate ratio
 y/x increases by exactly 1 per step, which is why p steps always suffice.
 
 Both kernels step every one of the p^2 points on each call; that stepping
-is the verification, so nothing is cached between calls. trap_hit_list
+is the verification, so nothing is cached between calls. trap_first_hits
 steps each point once, into one flat successor table indexed by x*p + y,
 and then walks that table, stopping each walk at the first point already
-known; trap_first_hits keys the same values by point. trap_fixed_points
-scans every point, testing the first coordinate x^2*y = x first and the
-second only where that holds. _step is the single-point formula that
-trap_step applies.
+known; trap_first_hits keys that flat list by point, and
+verify_trap_nilpotence reads it as it is. trap_fixed_points scans every
+point, testing the first coordinate x^2*y = x first and the second only
+where that holds. _step is the single-point formula that trap_step
+applies.
 """
 
 from __future__ import annotations
@@ -112,25 +113,22 @@ def _first_hits(nxt: list[int], p: int) -> list[int]:
     return hits
 
 
-def trap_hit_list(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[int]:
-    """The values of trap_first_hits as one flat list indexed by x*p + y,
-    without the p^2 tuple keys, for callers that read the values only."""
-    _check_prime_cap(p, cap)
-    return _first_hits(_successors(p), p)
-
-
 def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> dict[tuple[int, int], int]:
     """For every start point, the first step n >= 1 at which the n-th
     iterate is (0,0); a value of 0 marks a point that never got there
     within p steps (which the exhaustive checks show never happens)."""
-    hits = trap_hit_list(p, cap=cap)  # checks p before product() allocates p points
+    _check_prime_cap(p, cap)
+    nxt = _successors(p)
+    hits = _first_hits(nxt, p)
+    del nxt  # freed before the dict is built, which lowers the peak
     return dict(zip(product(range(p), repeat=2), hits))
 
 
 def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
     """True iff all p^2 points reach (0,0) within p steps, equivalently the
     p-th iterate of the map is identically (0,0) ((0,0) is absorbing)."""
-    return all(first >= 1 for first in trap_hit_list(p, cap=cap))
+    _check_prime_cap(p, cap)
+    return all(first >= 1 for first in _first_hits(_successors(p), p))
 
 
 def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:

@@ -21,8 +21,8 @@ from polyorbit import (
 )
 from polyorbit.modular import PRIME_BOUND_MAX
 
-# p = 2q+1 with q prime: the subgroup of order q is large enough that its
-# logs are found by baby-step giant-step.
+# p = 2q+1 with q prime: a log in the subgroup of order q takes baby-step
+# giant-step about sqrt(q) steps each way.
 SAFE_PRIMES = (1019, 2027, 4079)
 
 
@@ -76,7 +76,7 @@ class TestDiscreteLogMatchesPlainWalk:
             assert (cert.m_p, cert.cycle) == plain_walk(a, b, r, p), (a, b, r)
 
     @pytest.mark.parametrize("p", SAFE_PRIMES)
-    def test_safe_primes_take_baby_step_giant_step(self, p, monkeypatch):
+    def test_safe_primes_solve_in_the_subgroup_of_order_q(self, p, monkeypatch):
         orders = []
         log = modular._log_of_order_q
 
@@ -90,7 +90,7 @@ class TestDiscreteLogMatchesPlainWalk:
             for r in (1, 2, p - 1):
                 cert = orbit_mod_p(linear(a, 1), r, p)
                 assert (cert.m_p, cert.cycle) == plain_walk(a, 1, r, p)
-        assert q in orders and q >= 32
+        assert q in orders
 
     def test_prime_beyond_the_table(self):
         p = 10**7 + 19  # prime, and past PRIME_BOUND_MAX, so past the table
@@ -108,6 +108,7 @@ class TestPrimalityGuard:
             orbit_mod_p(linear(2, 1), 0, p)
 
     def test_composite_beyond_the_table_refused(self):
+        primes_up_to(1000)
         n = len(modular._spf) + 1
         n += n % 2  # even, so composite
         with pytest.raises(ValueError, match=f"{n} is not prime"):
@@ -136,6 +137,7 @@ class TestSmallestFactorTable:
             assert factorize(-n) == trial_division(n), n
 
     def test_grows_and_never_shrinks(self):
+        primes_up_to(1000)
         size = len(modular._spf)
         assert primes_up_to(10) == [2, 3, 5, 7]
         assert len(modular._spf) == size
@@ -158,19 +160,22 @@ class TestSmallestFactorTable:
 
 
 class TestReports:
-    @pytest.mark.parametrize("family,text,r,A", [
-        ("Thm4", "2x+6", 6, PrimeSet()),
-        ("Thm4", "-2x+6", 6, PrimeSet()),
-        ("Cor4", "2x-6", -6, PrimeSet()),
-        ("Thm3", "-2x-1", 1, PrimeSet([2])),
+    # One replay runs to 10^4 (about 3.3 million residues walked by the
+    # oracle); the others stop at 2000, past the primes whose p-1 has a
+    # prime factor in the hundreds.
+    @pytest.mark.parametrize("family,text,r,A,bound", [
+        ("Thm4", "2x+6", 6, PrimeSet(), 10**4),
+        ("Thm4", "-2x+6", 6, PrimeSet(), 2000),
+        ("Cor4", "2x-6", -6, PrimeSet(), 2000),
+        ("Thm3", "-2x-1", 1, PrimeSet([2]), 2000),
     ])
-    def test_oracle_replay_to_10_4(self, family, text, r, A):
+    def test_oracle_replay(self, family, text, r, A, bound):
         u = parse_poly(text)
         assert u in generate_list_members(family, A=A, r=r)
-        report = certify_local(u, r, A, 10**4)
+        report = certify_local(u, r, A, bound)
         certs = [(c.p, c.m_p, c.cycle) for c in report.certificates]
         assert report.consistent
-        assert oracles.check_local_report(u.coeffs, r, set(A), 10**4, certs,
+        assert oracles.check_local_report(u.coeffs, r, set(A), bound, certs,
                                           report.refuted_at, True) == []
 
     @pytest.mark.parametrize("text,r,bound,walks", [

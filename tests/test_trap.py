@@ -13,7 +13,7 @@ from polyorbit import (
     trap_step,
     verify_trap_nilpotence,
 )
-from polyorbit.trap import TRAP_CAP_MAX, _first_hits, _step, _successors, trap_hit_list
+from polyorbit.trap import TRAP_CAP_MAX, _first_hits, _step, _successors
 
 
 class TestTrapStep:
@@ -201,13 +201,9 @@ class TestFirstHitsWalk:
             assert _first_hits(nxt, p) == _plain_first_hits(nxt, p)
 
 
-@pytest.mark.parametrize("p", primes_up_to(101))
-def test_hit_list_is_the_first_hits_in_key_order(p):
-    assert trap_hit_list(p) == list(trap_first_hits(p).values())
-
-
-def test_hit_list_checks_the_cap():
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        trap_hit_list(11, cap=7)
-    with pytest.raises(ValueError, match="not prime"):
-        trap_hit_list(9)
+@pytest.mark.parametrize("p", [2, 7, 101])
+def test_nilpotence_reads_no_point_keyed_dict(p, monkeypatch):
+    def keyed(*args, **kwargs):
+        raise AssertionError("trap_first_hits called")
+    monkeypatch.setattr("polyorbit.trap.trap_first_hits", keyed)
+    assert verify_trap_nilpotence(p)
