@@ -7,11 +7,11 @@ coordinate maps to (0,0) in one step; for the rest the coordinate ratio
 y/x increases by exactly 1 per step, which is why p steps always suffice.
 
 Both kernels step every one of the p^2 points on each call; that stepping
-is the verification, so nothing is cached between calls. trap_first_hits
-steps each point once, into one flat successor table indexed by x*p + y,
-and then walks that table, stopping each walk at the first point already
-known; trap_first_hits keys that flat list by point, and
-verify_trap_nilpotence reads it as it is. trap_fixed_points scans every
+is the verification, so nothing is cached between calls. The first-hit
+search steps each point once, into one flat successor table indexed by
+x*p + y, and then walks that table, stopping each walk at the first point
+already known; trap_first_hits keys the hits by point, and
+verify_trap_nilpotence reads them as one flat list. trap_fixed_points scans every
 point, testing the first coordinate x^2*y = x first and the second only
 where that holds. _step is the single-point formula that trap_step
 applies.
