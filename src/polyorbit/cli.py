@@ -8,7 +8,8 @@ JSON mode emits one top-level document {command, inputs, result,
 citations, timings}; human mode prints the same content as text. Defaults
 for the prime bound, orbit caps and trap cap can be overridden with the
 POLYORBIT_PRIME_BOUND, POLYORBIT_MAX_STEPS, POLYORBIT_MAX_BITS and
-POLYORBIT_TRAP_CAP environment variables.
+POLYORBIT_TRAP_CAP environment variables. An orbit cap below 1 or a trap
+cap below 2, by flag or by variable, is a usage error.
 """
 
 from __future__ import annotations
@@ -44,14 +45,32 @@ class UsageError(ValueError):
     pass
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int, minimum: int | None = None) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"environment variable {name} must be an integer, got {raw!r}")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"environment variable {name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _int_at_least(minimum: int):
+    """An argument type: an integer of at least minimum."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return convert
 
 
 class _PrimeSetAction(argparse.Action):
@@ -93,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     prime_bound = _env_int("POLYORBIT_PRIME_BOUND", 300)
-    max_steps = _env_int("POLYORBIT_MAX_STEPS", MAX_STEPS_DEFAULT)
-    max_bits = _env_int("POLYORBIT_MAX_BITS", MAX_BITS_DEFAULT)
-    trap_cap = _env_int("POLYORBIT_TRAP_CAP", TRAP_CAP_DEFAULT)
+    max_steps = _env_int("POLYORBIT_MAX_STEPS", MAX_STEPS_DEFAULT, 1)
+    max_bits = _env_int("POLYORBIT_MAX_BITS", MAX_BITS_DEFAULT, 1)
+    trap_cap = _env_int("POLYORBIT_TRAP_CAP", TRAP_CAP_DEFAULT, 2)
 
     def command(name, help, poly=False, r=False, A=False, primes=False, caps=False):
         p = sub.add_parser(name, help=help)
@@ -110,12 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
                        action=_PrimeSetAction, metavar="P", help="excluded primes")
         if primes:
             _add_input(p, "--primes", dest="prime_bound", type=int,
-                       default=prime_bound, help="prime bound (default 300)")
+                       default=prime_bound, help="prime bound (default %(default)s)")
         p.add_argument("--output", choices=("human", "json"), default="human")
         p.add_argument("--out", default=None, help="also write the JSON report here")
         if caps:  # the subcommands that run an integer orbit
-            p.add_argument("--max-steps", type=int, default=max_steps)
-            p.add_argument("--max-bits", type=int, default=max_bits)
+            p.add_argument("--max-steps", type=_int_at_least(1), default=max_steps,
+                           help="orbit steps before undecided (default %(default)s)")
+            p.add_argument("--max-bits", type=_int_at_least(1), default=max_bits,
+                           help="orbit value bits before undecided "
+                                "(default %(default)s)")
         return p
 
     command("orbit", "decide nilpotency of u at r over Z", poly=True, r=True, caps=True)
@@ -136,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--r-bound", type=int, default=10)
 
     p = command("trap", "verify the additive-trap properties per prime", primes=True)
-    p.add_argument("--trap-cap", type=int, default=trap_cap)
+    p.add_argument("--trap-cap", type=_int_at_least(2), default=trap_cap,
+                   help="largest prime swept, p^2 points each (default %(default)s)")
 
     p = command("lemma1", "cyclic-subgroup witness primes", primes=True)
     _add_input(p, "--alpha", type=int, required=True)

@@ -11,7 +11,8 @@ reaches 0 mod p at m_p = -r/b mod p. Any other u = ax+b with a != 0, 1
 mod p has fixed point c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p
 is the discrete log of c/(c-r) to base a, found by Pohlig-Hellman over
 the factors of ord_p(a). Only a refuting prime is walked, once, to
-record its cycle.
+record its cycle. first_refuting_prime needs no m_p and no cycle: per
+prime it asks only whether c/(c-r) lies in the group generated by a.
 
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. Sieves and trial
@@ -296,19 +297,35 @@ def _linear_cycle(a: int, b: int, x: int, p: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _linear_hitting_time(a: int, b: int, x: int, p: int) -> int | None:
-    """The least n >= 1 with u^(n)(x) = 0 mod p for u = ax+b, a != 0, 1
-    mod p, or None when the orbit misses 0.
+def _linear_target(a: int, b: int, x: int, p: int) -> int | None:
+    """For u = ax+b with a != 0, 1 mod p: the unit t such that the least
+    n >= 1 with u^(n)(x) = 0 mod p is the least n >= 1 with a^n = t, or
+    None when the orbit misses 0.
 
     With c = b/(1-a), u^(n)(x) - c = a^n (x - c). If x = c the orbit is
-    constant; otherwise u^(n)(x) = 0 exactly when a^n = c/(c-x), which
-    has no solution when c = 0."""
+    constant: it is 0 from step 1 when c = 0, which t = a gives. Otherwise
+    u^(n)(x) = 0 exactly when a^n = c/(c-x), which has no solution when
+    c = 0."""
     c = b * pow(1 - a, -1, p) % p
     if x == c:
-        return 1 if c == 0 else None
+        return a if c == 0 else None
     if c == 0:
         return None
-    return _discrete_log(a, c * pow(c - x, -1, p) % p, p)
+    return c * pow(c - x, -1, p) % p
+
+
+def _linear_hitting_time(a: int, b: int, x: int, p: int) -> int | None:
+    """The least n >= 1 with u^(n)(x) = 0 mod p for u = ax+b, a != 0, 1
+    mod p, or None when the orbit misses 0."""
+    t = _linear_target(a, b, x, p)
+    return None if t is None else _discrete_log(a, t, p)
+
+
+def _subgroup_order(a: int, t: int, p: int) -> int | None:
+    """ord_p(a) when the unit t lies in the cyclic group that a generates
+    mod the prime p, that is when t^ord_p(a) = 1; None otherwise."""
+    order = multiplicative_order(a, p)
+    return order if pow(t, order, p) == 1 else None
 
 
 def _discrete_log(a: int, t: int, p: int) -> int | None:
@@ -320,8 +337,8 @@ def _discrete_log(a: int, t: int, p: int) -> int | None:
     base-q digit at a time, each digit a log in the subgroup of order q,
     and the parts are joined by the Chinese remainder theorem. A log of 0
     mod N means n = N."""
-    order = multiplicative_order(a, p)
-    if pow(t, order, p) != 1:
+    order = _subgroup_order(a, t, p)
+    if order is None:
         return None
     n, modulus = 0, 1
     for q, e in factorize(order).items():
@@ -384,6 +401,40 @@ def certify_local(
         if not cert.hit:
             return LocalReport(prime_bound, p, tuple(certificates))
     return LocalReport(prime_bound, None, tuple(certificates))
+
+
+def first_refuting_prime(
+    u: Polynomial,
+    r: int,
+    A: "PrimeSet | Iterable[int] | None",
+    prime_bound: int,
+) -> int | None:
+    """The least prime p <= prime_bound outside A whose residue orbit of u
+    from r never reaches 0 mod p, or None when every such prime is hit:
+    certify_local(u, r, A, prime_bound).refuted_at, with each prime
+    answered yes or no and no certificate built."""
+    check_prime_bound(prime_bound)
+    for p in _primes_outside(prime_bound, _as_prime_set(A)):
+        if not _reaches_zero_mod_p(u, r, p):
+            return p
+    return None
+
+
+def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
+    """Whether the orbit of u from r reaches 0 mod the sieved prime p:
+    orbit_mod_p(u, r, p).hit, with no m_p and no cycle for a map ax+b with
+    a != 0 mod p. A translation or the identity hits exactly when b != 0
+    or r = 0 mod p; any other such map hits exactly when its target (see
+    _linear_target) is a power of a."""
+    if len(u.coeffs) == 2:
+        b, a = u.coeffs
+        a %= p
+        if a == 1:
+            return b % p != 0 or r % p == 0
+        if a:
+            t = _linear_target(a, b % p, r % p, p)
+            return t is not None and _subgroup_order(a, t, p) is not None
+    return orbit_mod_p(u, r, p).hit
 
 
 def is_integer_power(base: int, target: int) -> int | None:

@@ -1,5 +1,5 @@
 """Desk-scale enumeration harness: cross-check the exact classifiers
-against orbit decisions and residue certificates over finite coefficient
+against orbit decisions and refuting primes over finite coefficient
 boxes, explore nilpotency/local-nilpotency windows for a fixed polynomial,
 and generate catalog members for positive-direction testing.
 
@@ -24,8 +24,11 @@ from .classify import (
     classify,
     mirror_item,
 )
-from .modular import (PrimeSet, _as_prime_set, certify_local,
-                      check_prime_bound, factorize, prime_support)
+# Unused here; certify_local stays bound because perfbench/spans.py wraps
+# polyorbit.verify.certify_local by name.
+from .modular import (PrimeSet, _as_prime_set, certify_local,  # noqa: F401
+                      check_prime_bound, factorize, first_refuting_prime,
+                      prime_support)
 from .orbits import BudgetExceededError, OrbitKind, OrbitOutcome, decide_nilpotency
 from .polynomials import Polynomial, linear
 
@@ -35,8 +38,8 @@ CANDIDATE_BUDGET_DEFAULT = 10**7
 @dataclass(frozen=True)
 class SearchSpace:
     """All nonzero polynomials of degree <= degree with coefficients in
-    [-coeff_bound, coeff_bound], classified at (r, A) and certified up to
-    prime_bound."""
+    [-coeff_bound, coeff_bound], classified at (r, A) and searched for a
+    refuting prime up to prime_bound."""
 
     degree: int
     coeff_bound: int
@@ -127,18 +130,18 @@ def _evidence(
 ) -> tuple[Verdict, OrbitOutcome, int | None]:
     """The verdict on (u, r, A), the integer orbit outcome, and the first
     prime <= prime_bound outside A whose residue orbit never reaches 0
-    (None when no prime refutes the orbit or it is not certified).
+    (None when no prime refutes the orbit or none is searched).
 
     The orbit is decided once: by the dispatcher when it needs the orbit
     for its verdict, here otherwise. Only a decidable verdict on an orbit
-    that cycles or escapes is certified: an orbit reaching 0 at step n
+    that cycles or escapes is searched: an orbit reaching 0 at step n
     hits 0 mod every prime by step n, so no prime can refute it.
     """
     verdict = classify(u, r, A, **caps)
     outcome = verdict.orbit or decide_nilpotency(u, r, **caps)
     refuted_at = None
     if verdict.decidable and outcome.kind in (OrbitKind.CYCLE, OrbitKind.ESCAPED):
-        refuted_at = certify_local(u, r, A, prime_bound).refuted_at
+        refuted_at = first_refuting_prime(u, r, A, prime_bound)
     return verdict, outcome, refuted_at
 
 
@@ -166,7 +169,7 @@ def verify_theorem(
     """Classify every candidate and compare the verdict with the evidence:
     the exact orbit decision (under the decide_nilpotency caps given as
     keywords) and, for a decidable verdict on an orbit that never reaches
-    0, residue certificates up to the bound.
+    0, the least prime up to the bound that refutes it.
 
     Hard discrepancies: an undecidable verdict inside an exact-theorem
     space; a nilpotent orbit classified as non-member; any nilpotency

@@ -307,8 +307,6 @@ class TestCapsAndBounds:
         (["lemma1", "--alpha", "2", "--beta", "3", "--gamma", "5",
           "--primes", "-5"], -5),
         (["trap", "--primes", "1"], 1),
-        (["trap", "--trap-cap", "1"], 1),
-        (["trap", "--primes", "7", "--trap-cap", "0"], 0),
     ])
     def test_lemma1_and_trap_refuse_a_prime_bound_below_two(self, capsys,
                                                             command, bound):
@@ -316,6 +314,58 @@ class TestCapsAndBounds:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: prime bound must be >= 2, got {bound}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["trap", "--trap-cap", "1"], ["trap", "--primes", "7", "--trap-cap", "0"],
+        ["trap", "--primes", "1", "--trap-cap", "1"],
+    ])
+    def test_trap_cap_below_two_is_named_in_its_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command)
+        cap = command[-1]
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.endswith(f"error: argument --trap-cap: must be >= 2, got {cap}\n")
+
+    def test_trap_cap_variable_below_two_is_named_in_its_error(self, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("POLYORBIT_TRAP_CAP", "1")
+        code, out, err = run_cli(capsys, "trap", "--primes", "7")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: environment variable POLYORBIT_TRAP_CAP must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["orbit", "-u", "x+1", "-r", "1"], ["classify", "-u", "2x+6", "-r", "6"],
+    ])
+    @pytest.mark.parametrize("cap", ["--max-steps", "--max-bits"])
+    def test_caps_below_one_refused(self, capsys, command, cap):
+        code, out, err = run_cli(capsys, *command, cap, "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.endswith(f"error: argument {cap}: must be >= 1, got 0\n")
+        assert run_cli(capsys, *command, cap, "1")[0] in (EXIT_OK, EXIT_UNDECIDED)
+
+    @pytest.mark.parametrize("name", ["POLYORBIT_MAX_STEPS", "POLYORBIT_MAX_BITS"])
+    def test_cap_variables_below_one_refused(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "0")
+        code, out, err = run_cli(capsys, "orbit", "-u", "x+1", "-r", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: environment variable {name} must be >= 1, got 0\n"
+        monkeypatch.setenv(name, "1")
+        assert run_cli(capsys, "orbit", "-u", "x+1", "-r", "1")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("name, command, line", [
+        ("POLYORBIT_PRIME_BOUND", "certify", "prime bound (default 50)"),
+        ("POLYORBIT_TRAP_CAP", "trap", "p^2 points each (default 50)"),
+        ("POLYORBIT_MAX_STEPS", "orbit", "before undecided (default 50)"),
+    ])
+    def test_help_shows_the_default_in_force(self, capsys, monkeypatch, name,
+                                             command, line):
+        monkeypatch.setenv(name, "50")
+        code, out, _ = run_cli(capsys, command, "-h")
+        assert code == EXIT_OK
+        assert line in " ".join(out.split())
 
     @pytest.mark.parametrize("command", [
         ["certify", "-u", "x+1", "-r", "1"],

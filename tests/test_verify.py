@@ -14,6 +14,7 @@ from polyorbit import (
     decide_nilpotency,
     explore_LN_of_u,
     explore_N_of_u,
+    first_refuting_prime,
     generate_list_members,
     linear,
     nilpotency_index,
@@ -282,17 +283,18 @@ def test_exhausted_orbit_becomes_undecided_entry():
     assert entries == [(0, None)]
 
 
-def _counting_certify_local(monkeypatch):
-    """Route the harness's certify_local through a recorder of (u, r)."""
+def _counting_first_refuting_prime(monkeypatch):
+    """Route the harness's first_refuting_prime through a recorder of
+    (u, r)."""
     import polyorbit.verify
 
     calls = []
 
     def counted(u, r, A, prime_bound):
         calls.append((u, r))
-        return certify_local(u, r, A, prime_bound)
+        return first_refuting_prime(u, r, A, prime_bound)
 
-    monkeypatch.setattr(polyorbit.verify, "certify_local", counted)
+    monkeypatch.setattr(polyorbit.verify, "first_refuting_prime", counted)
     return calls
 
 
@@ -309,7 +311,7 @@ def _open_and_decided(u, r, A=None, **caps):
 def test_harness_certifies_only_decided_open_orbits(monkeypatch, r, A, caps):
     """Orbits reaching 0 hit 0 mod every prime, undecidable verdicts and
     undecided orbits are not compared: none of them is certified."""
-    calls = _counting_certify_local(monkeypatch)
+    calls = _counting_first_refuting_prime(monkeypatch)
     space = SearchSpace(degree=2, coeff_bound=1, r=r, A=A or (), prime_bound=30)
     verify_theorem(space, **caps)
     expected = [(u, r) for u in space.candidates()
@@ -320,7 +322,7 @@ def test_harness_certifies_only_decided_open_orbits(monkeypatch, r, A, caps):
 @pytest.mark.parametrize("text", ["x-1", "x^2-5x+6", "4x-2", "x^2-2", "2x"])
 @pytest.mark.parametrize("caps", [{}, {"max_steps": 2}])
 def test_local_window_certifies_only_decided_open_orbits(monkeypatch, text, caps):
-    calls = _counting_certify_local(monkeypatch)
+    calls = _counting_first_refuting_prime(monkeypatch)
     u = parse_poly(text)
     explore_LN_of_u(u, 4, 50, **caps)
     expected = [(u, r) for r in range(-4, 5) if _open_and_decided(u, r, **caps)]
