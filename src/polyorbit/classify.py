@@ -28,11 +28,11 @@ from typing import Callable
 from .modular import (
     PrimeSet,
     _as_prime_set,
+    _linear_exponent,
     factorize,
-    is_integer_power,
     prime_support,
 )
-from .orbits import OrbitKind, OrbitOutcome, decide_nilpotency
+from .orbits import OrbitKind, OrbitOutcome, check_caps, decide_nilpotency
 from .polynomials import Polynomial, linear
 
 NILPOTENT = "nilpotent"
@@ -280,22 +280,20 @@ def _sr_linear_item(u: Polynomial, r: int) -> tuple[str | None, str, str]:
             return STRICTLY_LOCAL, "Thm4.2", ""
         note = f"nilpotent at {r} (index {r // -b}), hence not strictly local"
         return None, "Thm4", note
-    if abs(a) >= 2 and b != 0 and prime_support(a) <= prime_support(b):
-        scaled = r * (a - 1) + b
-        if scaled % b == 0:
-            m = is_integer_power(a, scaled // b)
-            if m is not None and m >= 1:
-                if b == r:
-                    return STRICTLY_LOCAL, "Thm4.3", ""
-                if (a, b) == (-2, -r):
-                    return STRICTLY_LOCAL, "Thm4.4", ""
-                return (
-                    STRICTLY_LOCAL,
-                    "Rem3",
-                    f"member by the power condition r(a-1)=b(a^{m}-1) with "
-                    "support(a) inside support(b); outside the four "
-                    "cataloged shapes",
-                )
+    m = _linear_exponent(u, r)
+    if (abs(a) >= 2 and m is not None and m >= 1
+            and prime_support(a) <= prime_support(b)):
+        if b == r:
+            return STRICTLY_LOCAL, "Thm4.3", ""
+        if (a, b) == (-2, -r):
+            return STRICTLY_LOCAL, "Thm4.4", ""
+        return (
+            STRICTLY_LOCAL,
+            "Rem3",
+            f"member by the power condition r(a-1)=b(a^{m}-1) with "
+            "support(a) inside support(b); outside the four "
+            "cataloged shapes",
+        )
     return None, "Thm4", ""
 
 
@@ -306,9 +304,10 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
     degree 1; |r| >= 2 with empty A (nilpotency decided by the orbit
     engine first, under the decide_nilpotency caps given as keywords, then
     Fact1 for degree >= 2, the strictly-local catalog for degree 1).
-    Everything else returns decidable=False.
+    Everything else returns decidable=False. Caps below 1 are refused.
     """
     _require_nonzero(u)
+    check_caps(**caps)
     A = _as_prime_set(A)
     if len(A) == 0:
         if r == 1:

@@ -6,13 +6,20 @@ primes, certifies that a sieved p is prime, and factors every p-1 by
 lookup. It grows to the largest prime bound asked for, never past
 PRIME_BOUND_MAX, and never shrinks.
 
-Linear maps are answered without walking to the hit. A translation x+b
-reaches 0 mod p at m_p = -r/b mod p. Any other u = ax+b with a != 0, 1
-mod p has fixed point c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p
-is the discrete log of c/(c-r) to base a, found by Pohlig-Hellman over
-the factors of ord_p(a). Only a refuting prime is walked, once, to
-record its cycle. first_refuting_prime needs no m_p and no cycle: per
-prime it asks only whether c/(c-r) lies in the group generated by a.
+Linear maps are answered without walking to the hit. Write beta = b and
+gamma = r(a-1)+b for u = ax+b at r, so that u^(n)(r) = (gamma a^n -
+beta)/(a-1). When gamma = beta a^e for an integer e (every linear member
+has one), certify_local settles each prime p dividing none of
+a(a-1)beta gamma from that one exponent: m_p = -e mod ord_p(a), or
+ord_p(a) when that is 0, and first_refuting_prime tests only the primes
+that divide the product, since every other prime hits. Each remaining
+prime goes to orbit_mod_p. There a translation x+b reaches 0 mod p at
+m_p = -r/b mod p. Any other u = ax+b with a != 0, 1 mod p has fixed point
+c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p is the discrete log
+of c/(c-r) to base a, found by Pohlig-Hellman over the factors of
+ord_p(a). Only a refuting prime is walked, once, to record its cycle.
+first_refuting_prime needs no m_p and no cycle: per prime it asks only
+whether c/(c-r) lies in the group generated by a.
 
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. Sieves and trial
@@ -318,7 +325,9 @@ def _linear_hitting_time(a: int, b: int, x: int, p: int) -> int | None:
     """The least n >= 1 with u^(n)(x) = 0 mod p for u = ax+b, a != 0, 1
     mod p, or None when the orbit misses 0."""
     t = _linear_target(a, b, x, p)
-    return None if t is None else _discrete_log(a, t, p)
+    if t is None:
+        return None
+    return 1 if t == a else _discrete_log(a, t, p)
 
 
 def _subgroup_order(a: int, t: int, p: int) -> int | None:
@@ -381,6 +390,34 @@ def _primes_outside(bound: int, A: PrimeSet) -> tuple[int, ...]:
     return tuple(p for p in primes_up_to(bound) if p not in A)
 
 
+def _linear_exponent(u: Polynomial, r: int) -> int | None:
+    """The integer e with gamma = beta a^e for u = ax+b at r, where beta = b
+    and gamma = r(a-1)+b, or None when there is none, when a = 1 and when
+    beta or gamma is 0. Then u^(n)(r) = beta (a^(n+e) - 1)/(a-1)."""
+    if len(u.coeffs) != 2:
+        return None
+    beta, a = u.coeffs
+    gamma = r * (a - 1) + beta
+    if a == 1 or beta == 0 or gamma == 0:
+        return None
+    if gamma % beta == 0:
+        e = is_integer_power(a, gamma // beta)
+        if e is not None:
+            return e
+    if beta % gamma == 0:
+        e = is_integer_power(a, beta // gamma)
+        if e is not None:
+            return -e
+    return None
+
+
+def _exceptional_product(u: Polynomial, r: int) -> int:
+    """a(a-1)beta gamma for u = ax+b at r: a prime dividing none of its
+    factors has m_p = -e mod ord_p(a) (see _linear_exponent)."""
+    beta, a = u.coeffs
+    return a * (a - 1) * beta * (r * (a - 1) + beta)
+
+
 def certify_local(
     u: Polynomial,
     r: int,
@@ -392,11 +429,22 @@ def certify_local(
     Short-circuits on the first refutation (which settles non-membership);
     certificates computed so far are kept for diagnostics. Primes are
     processed in ascending order, so reports are deterministic.
+
+    A linear map with gamma = beta a^e (see _linear_exponent) hits every
+    prime p dividing none of a(a-1)beta gamma at m_p = -e mod ord_p(a), or
+    ord_p(a) when that is 0: one multiplicative order a prime. Every other
+    prime is settled by orbit_mod_p.
     """
     check_prime_bound(prime_bound)
+    e = _linear_exponent(u, r)
+    special = 0 if e is None else _exceptional_product(u, r)
     certificates = []
     for p in _primes_outside(prime_bound, _as_prime_set(A)):
-        cert = orbit_mod_p(u, r, p)
+        if special % p:
+            order = multiplicative_order(u.lead, p)
+            cert = PrimeCertificate(p, m_p=-e % order or order)
+        else:
+            cert = orbit_mod_p(u, r, p)
         certificates.append(cert)
         if not cert.hit:
             return LocalReport(prime_bound, p, tuple(certificates))
@@ -412,10 +460,15 @@ def first_refuting_prime(
     """The least prime p <= prime_bound outside A whose residue orbit of u
     from r never reaches 0 mod p, or None when every such prime is hit:
     certify_local(u, r, A, prime_bound).refuted_at, with each prime
-    answered yes or no and no certificate built."""
+    answered yes or no and no certificate built.
+
+    A linear map with gamma = beta a^e (see _linear_exponent) hits every
+    prime dividing none of a(a-1)beta gamma, so only the primes that
+    divide it are tested. The product is never factored."""
     check_prime_bound(prime_bound)
+    special = 0 if _linear_exponent(u, r) is None else _exceptional_product(u, r)
     for p in _primes_outside(prime_bound, _as_prime_set(A)):
-        if not _reaches_zero_mod_p(u, r, p):
+        if not special % p and not _reaches_zero_mod_p(u, r, p):
             return p
     return None
 

@@ -71,6 +71,15 @@ class EscapeBound:
     bound: int
 
 
+def check_caps(
+    *, max_steps: int = MAX_STEPS_DEFAULT, max_bits: int = MAX_BITS_DEFAULT
+) -> None:
+    """Refuse a step or bit cap below 1: no orbit can be decided under it."""
+    for name, cap in (("max_steps", max_steps), ("max_bits", max_bits)):
+        if cap < 1:
+            raise ValueError(f"{name} must be >= 1, got {cap}")
+
+
 def iterate_value(
     u: Polynomial, r: int, n: int, *, max_bits: int = MAX_BITS_DEFAULT
 ) -> int:
@@ -155,8 +164,9 @@ def decide_nilpotency(
     For degree >= 2 and for |slope| >= 2 linear maps the three-way search
     (zero hit / revisit / escape) is exhaustive, so EXHAUSTED can only come
     from the resource caps. Slope +-1 linear maps and constants are decided
-    in closed form. The zero polynomial is rejected.
+    in closed form. The zero polynomial and caps below 1 are rejected.
     """
+    check_caps(max_steps=max_steps, max_bits=max_bits)
     if u.is_zero():
         raise ValueError("nilpotency is defined only for nonzero polynomials")
     d = u.degree

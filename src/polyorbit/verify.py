@@ -29,7 +29,8 @@ from .classify import (
 from .modular import (PrimeSet, _as_prime_set, certify_local,  # noqa: F401
                       check_prime_bound, factorize, first_refuting_prime,
                       prime_support)
-from .orbits import BudgetExceededError, OrbitKind, OrbitOutcome, decide_nilpotency
+from .orbits import (BudgetExceededError, OrbitKind, OrbitOutcome, check_caps,
+                     decide_nilpotency)
 from .polynomials import Polynomial, linear
 
 CANDIDATE_BUDGET_DEFAULT = 10**7
@@ -175,8 +176,10 @@ def verify_theorem(
     space; a nilpotent orbit classified as non-member; any nilpotency
     subclass or index mismatch; a classified member that some prime
     refutes. Flagged for review instead: an orbit the caps leave
-    undecided, and a classified non-member that no prime refutes.
+    undecided, and a classified non-member that no prime refutes. Caps
+    below 1 are refused.
     """
+    check_caps(**caps)
     if space.cardinality > budget:
         raise BudgetExceededError(
             f"{space.cardinality} candidates exceed the budget of {budget}"
@@ -242,7 +245,9 @@ def _window(u: Polynomial, r_bound: int) -> range:
 def explore_N_of_u(u: Polynomial, r_bound: int, **caps) -> list[tuple[int, int | None]]:
     """Start points r in [-r_bound, r_bound] whose orbit reaches 0, with
     the exact index; an index of None marks a start point the caps left
-    undecided (possible only under tiny budgets)."""
+    undecided (possible only under tiny budgets). Caps below 1 are
+    refused."""
+    check_caps(**caps)
     found = []
     for r in _window(u, r_bound):
         outcome = decide_nilpotency(u, r, **caps)
@@ -276,7 +281,8 @@ def explore_LN_of_u(
 ) -> list[LocalStatusEntry]:
     """Local-nilpotency window: every r in [-r_bound, r_bound] with its
     empirical status, consulting the exact classifier first where it is
-    decidable."""
+    decidable. Caps below 1 are refused."""
+    check_caps(**caps)
     window = _window(u, r_bound)
     check_prime_bound(prime_bound)
     entries = []

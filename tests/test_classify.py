@@ -218,6 +218,9 @@ class TestClassifySr:
 
     def test_non_member(self):
         expect(classify_Sr_linear(linear(2, -3), 6), False, citation="Thm4")
+        # gamma = -beta gives -x+6 at 6 an exponent, but its orbit 6 -> 0
+        # is nilpotent, and slope -1 is outside the power condition.
+        expect(classify_Sr_linear(linear(-1, 6), 6), False, citation="Thm4")
 
     def test_power_condition_members_outside_cataloged_shapes(self):
         """Genuine strictly-local members the four-shape catalog misses;

@@ -1,6 +1,7 @@
-"""The smallest-prime-factor table and the discrete-log certificates of
-linear maps, checked against trial division, plain walks and the
-benchmark's independent oracle."""
+"""The smallest-prime-factor table, the exponent and discrete-log
+certificates of linear maps, and the least refuting prime of a map with an
+exponent, checked against trial division, plain walks and the benchmark's
+independent oracle."""
 
 import random
 
@@ -13,6 +14,7 @@ from polyorbit import (
     PrimeSet,
     certify_local,
     factorize,
+    first_refuting_prime,
     generate_list_members,
     linear,
     orbit_mod_p,
@@ -168,6 +170,7 @@ class TestReports:
         ("Thm4", "-2x+6", 6, PrimeSet(), 2000),
         ("Cor4", "2x-6", -6, PrimeSet(), 2000),
         ("Thm3", "-2x-1", 1, PrimeSet([2]), 2000),
+        ("Thm3", "-2x+4", 1, PrimeSet(), 2000),
     ])
     def test_oracle_replay(self, family, text, r, A, bound):
         u = parse_poly(text)
@@ -195,3 +198,131 @@ class TestReports:
         report = certify_local(parse_poly(text), r, None, bound)
         assert len(cycles) == walks
         assert report.consistent == (walks == 0)
+
+
+def hitting_time(a, b, r, p):
+    """The least n >= 1 with u^(n)(r) = 0 mod p for u = ax+b, by a plain
+    walk of at most p steps (any slope), or None."""
+    x = r % p
+    for n in range(1, p + 1):
+        x = (a * x + b) % p
+        if x == 0:
+            return n
+    return None
+
+
+def _exponent_grid():
+    """(a, b, r, e) for a in [-8, 8] minus {0, 1}, |b| <= 20 and |r| <= 25
+    whenever r(a-1)+b = b a^e for an integer e."""
+    grid = []
+    for a in range(-8, 9):
+        for b in range(-20, 21):
+            for r in range(-25, 26):
+                e = modular._linear_exponent(linear(a, b), r)
+                if e is not None:
+                    grid.append((a, b, r, e))
+    return grid
+
+
+def _with_exponent(a, c, e):
+    """(u, r) with slope a, gamma = beta a^e, and c as beta (e >= 0) or as
+    gamma (e < 0): r(a-1) = gamma - beta."""
+    k = abs(e)
+    geometric = (a**k - 1) // (a - 1)
+    if e >= 0:
+        return linear(a, c), c * geometric
+    return linear(a, c * a**k), -c * geometric
+
+
+class TestExponentCertificates:
+    def test_the_exponent(self):
+        assert modular._linear_exponent(linear(2, 6), 6) == 1  # 12 = 6*2
+        assert modular._linear_exponent(linear(3, -3), 1) == -1  # Thm3.2
+        assert modular._linear_exponent(linear(-2, 4), 1) == -2  # 4 = 1*(-2)^2
+        assert modular._linear_exponent(linear(5, 7), 0) == 0
+        assert modular._linear_exponent(linear(-1, 3), 3) == 1  # -3 = 3*(-1)
+        # a = 1; beta = 0; gamma = 0; 11/6 and 6/11 are no powers; not linear
+        for u, r in [(linear(1, 6), 6), (linear(2, 0), 3), (linear(2, -2), 2),
+                     (linear(6, 6), 1), (parse_poly("x^2+1"), 0)]:
+            assert modular._linear_exponent(u, r) is None, (u, r)
+
+    def test_matches_plain_walk_on_the_grid(self):
+        """Every prime <= 200: a report at empty A stops at its first
+        refutation, so a second report excludes the refuting primes and
+        certifies all the others."""
+        grid = _exponent_grid()
+        primes = primes_up_to(200)
+        seen = {"a=-1": 0, "e=0": 0, "e<0": 0, "refuted": 0}
+        for a, b, r, e in grid:
+            u = linear(a, b)
+            walked = {p: hitting_time(a, b, r, p) for p in primes}
+            refuting = [p for p in primes if walked[p] is None]
+            special = a * (a - 1) * b * (r * (a - 1) + b)
+            assert all(special % p == 0 for p in refuting), (u, r)
+            report = certify_local(u, r, None, 200)
+            assert report.refuted_at == (refuting[0] if refuting else None)
+            assert [c.m_p for c in report.certificates] == [
+                walked[p] for p in primes[:len(report.certificates)]], (u, r)
+            rest = certify_local(u, r, refuting, 200)
+            assert rest.consistent
+            assert [(c.p, c.m_p) for c in rest.certificates] == [
+                (p, walked[p]) for p in primes if p not in refuting], (u, r)
+            seen["a=-1"] += a == -1
+            seen["e=0"] += e == 0
+            seen["e<0"] += e < 0
+            seen["refuted"] += bool(refuting)
+        assert len(grid) > 1500 and min(seen.values()) > 50, seen
+
+    def test_first_refuting_prime_on_seeded_maps(self):
+        rng = random.Random(20261019)
+        for _ in range(600):
+            a = rng.choice([k for k in range(-9, 10) if k not in (0, 1)])
+            c = rng.choice([k for k in range(-30, 31) if k])
+            u, r = _with_exponent(a, c, rng.randint(-3, 4))
+            A = rng.choice(((), (2,), (3,), (2, 3), (5, 7), (2, 3, 5, 7)))
+            bound = rng.choice((2, 3, 50, 300, 1000))
+            expected = certify_local(u, r, A, bound).refuted_at
+            assert first_refuting_prime(u, r, A, bound) == expected, (u, r, A)
+
+    @pytest.mark.parametrize("e", [1, 2, -1, -2])
+    def test_forty_digit_coefficients(self, e):
+        """The product a(a-1)beta gamma is far past trial division's reach;
+        it is only ever reduced mod sieved primes, never factored."""
+        a, c = 3 * 10**39 + 7, -(10**39 + 3)
+        u, r = _with_exponent(a, c, e)
+        assert len(str(abs(u.constant))) >= 40
+        report = certify_local(u, r, None, 1000)
+        primes = primes_up_to(1000)
+        walked = [hitting_time(a, u.constant, r, p) for p in primes]
+        assert [cert.m_p for cert in report.certificates] == walked[
+            :len(report.certificates)]
+        assert first_refuting_prime(u, r, None, 1000) == report.refuted_at
+
+
+class TestNoDiscreteLogForAnExponent:
+    @pytest.mark.parametrize("u,r,bound,special", [
+        (linear(2, 6), 6, 3000, (2, 3)),  # 2*1*6*12
+        (linear(3, -3), 1, 3000, (2, 3)),  # Thm3.2: 3*2*(-3)*(-1)
+    ])
+    def test_orbit_mod_p_only_at_primes_of_the_product(self, monkeypatch, u, r,
+                                                       bound, special):
+        walked = []
+        orbit_mod_p = modular.orbit_mod_p
+
+        def counted(u, r, p):
+            walked.append(p)
+            return orbit_mod_p(u, r, p)
+
+        def refused(*args):
+            raise AssertionError("a discrete log was computed")
+
+        monkeypatch.setattr(modular, "orbit_mod_p", counted)
+        monkeypatch.setattr(modular, "_discrete_log", refused)
+        report = certify_local(u, r, PrimeSet(), bound)
+        assert report.consistent
+        assert len(report.certificates) == len(primes_up_to(bound))
+        assert tuple(walked) == special
+        walked.clear()
+        assert first_refuting_prime(u, r, PrimeSet(), bound) is None
+        # Only a prime dividing the slope falls back to orbit_mod_p there.
+        assert walked == [p for p in special if u.lead % p == 0]

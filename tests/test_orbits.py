@@ -7,14 +7,19 @@ from polyorbit import (
     BudgetExceededError,
     OrbitKind,
     Polynomial,
+    SearchSpace,
     UndecidedError,
+    classify,
     decide_nilpotency,
     escape_bound,
+    explore_LN_of_u,
+    explore_N_of_u,
     iterate_linear_closed,
     iterate_value,
     linear,
     nilpotency_index,
     parse_poly,
+    verify_theorem,
 )
 
 
@@ -268,3 +273,52 @@ def test_index_two_structure_at_zero():
             assert out.index == 2, f"{u} has index {out.index}"
             seen_index_two += 1
     assert seen_index_two > 50
+
+
+class TestCapsBelowOne:
+    """A step or bit cap below 1 is refused up front by every library entry
+    point that takes one, also where no orbit would be decided (r in
+    {-1, 0, 1} has closed-form catalogs)."""
+
+    @staticmethod
+    def _entry_points(r):
+        u = linear(2, 6)
+        return {
+            "decide_nilpotency": lambda **caps: decide_nilpotency(u, r, **caps),
+            "classify": lambda **caps: classify(u, r, **caps),
+            "verify_theorem": lambda **caps: verify_theorem(
+                SearchSpace(1, 1, r, prime_bound=20), **caps),
+            "explore_N_of_u": lambda **caps: explore_N_of_u(u, 0, **caps),
+            "explore_LN_of_u": lambda **caps: explore_LN_of_u(u, 0, 20, **caps),
+        }
+
+    @pytest.mark.parametrize("r", [-1, 0, 1, 6])
+    @pytest.mark.parametrize("name", ["decide_nilpotency", "classify",
+                                      "verify_theorem", "explore_N_of_u",
+                                      "explore_LN_of_u"])
+    @pytest.mark.parametrize("caps", [{"max_steps": -5}, {"max_steps": 0},
+                                      {"max_bits": 0}, {"max_bits": -1}])
+    def test_refused(self, r, name, caps):
+        (cap, value), = caps.items()
+        with pytest.raises(ValueError, match=f"{cap} must be >= 1, got {value}"):
+            self._entry_points(r)[name](**caps)
+
+    @pytest.mark.parametrize("name", ["decide_nilpotency", "classify",
+                                      "verify_theorem", "explore_N_of_u",
+                                      "explore_LN_of_u"])
+    def test_a_cap_of_one_is_accepted(self, name):
+        self._entry_points(6)[name](max_steps=1, max_bits=1)
+
+    def test_refused_before_the_other_arguments_are_checked(self):
+        u = linear(2, 6)
+        calls = [
+            lambda **caps: verify_theorem(SearchSpace(2, 9, 6), budget=10, **caps),
+            lambda **caps: explore_N_of_u(u, -1, **caps),
+            lambda **caps: explore_LN_of_u(u, -1, 20, **caps),
+        ]
+        for call in calls:
+            with pytest.raises((ValueError, BudgetExceededError)) as plain:
+                call()
+            assert "max_steps" not in str(plain.value)
+            with pytest.raises(ValueError, match="max_steps must be >= 1"):
+                call(max_steps=0)
