@@ -97,7 +97,6 @@ def _require_nonzero(u: Polynomial) -> None:
 
 
 _X_MINUS_1 = linear(1, -1)
-_X_PLUS_1 = linear(1, 1)
 
 # Thm1.1-1.3: u = base + p(x)*modulus for some p in Z[x], nilpotent of the
 # given index at r=1. Rows are (citation, index, base, modulus).
@@ -136,19 +135,32 @@ def classify_L1(u: Polynomial) -> Verdict:
     p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 + p(x)(x-1)(x-2)(x-3), index 3;
     (4) x+1, strictly local.
     """
-    return _classify_L1(u, lambda citation: citation)
+    return _classify_L1(u, 1, lambda citation: citation)
 
 
-def _classify_L1(u: Polynomial, cite: Callable[[str], str]) -> Verdict:
-    """classify_L1's verdict with its citation mapped by cite, so the r=-1
-    mirror builds one Verdict."""
+# Each Thm1 modulus (x-1)...(x-index) is monic with distinct integer roots, so
+# it divides u - base exactly when u = base at each: rows hold base's values.
+_THM1_ROOT_VALUES = tuple(
+    (citation, index, tuple(base.evaluate(j) for j in range(1, index + 1)))
+    for citation, index, base, _ in THM1_SHAPES
+)
+
+
+def _classify_L1(u: Polynomial, s: int, cite: Callable[[str], str]) -> Verdict:
+    """classify_L1's verdict on v(x) = s*u(s*x), citation mapped by cite:
+    s = -1 gives the r=-1 mirror without building the negate-conjugate v.
+    v is evaluated at 1, 2, 3 only as far as a shape needs it."""
     _require_nonzero(u)
-    for citation, index, base, modulus in THM1_SHAPES:
-        # modulus = (x-1)...(x-index) is monic with distinct integer roots,
-        # so it divides u - base exactly when u = base at each root.
-        if all(u.evaluate(j) == base.evaluate(j) for j in range(1, index + 1)):
+    values: list[int] = []  # v(1), v(2), ... as far as evaluated
+    for citation, index, targets in _THM1_ROOT_VALUES:
+        for j, target in enumerate(targets, 1):
+            if len(values) < j:
+                values.append(s * u.evaluate(s * j))
+            if values[j - 1] != target:
+                break
+        else:
             return _nilpotent(index, cite(citation))
-    if u == _X_PLUS_1:
+    if u.coeffs == (s, 1):  # v = x+1
         return _strictly_local(cite("Thm1.4"))
     return _non_member(cite("Thm1"))
 
@@ -313,7 +325,7 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
         if r == 1:
             return classify_L1(u)
         if r == -1:
-            return _classify_L1(u.negate_conjugate(), mirror_item)
+            return _classify_L1(u, -1, mirror_item)
         if r == 0:
             return classify_L0(u)
         outcome = decide_nilpotency(u, r, **caps)

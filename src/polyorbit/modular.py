@@ -18,8 +18,11 @@ m_p = -r/b mod p. Any other u = ax+b with a != 0, 1 mod p has fixed point
 c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p is the discrete log
 of c/(c-r) to base a, found by Pohlig-Hellman over the factors of
 ord_p(a). Only a refuting prime is walked, once, to record its cycle.
-first_refuting_prime needs no m_p and no cycle: per prime it asks only
-whether c/(c-r) lies in the group generated by a.
+first_refuting_prime builds no certificate. Per prime it answers any map
+of degree <= 1 in closed form (with a = 0 mod p the orbit is r, b, b, ...;
+with a != 0, 1 it asks only whether c/(c-r) lies in the group generated
+by a) and walks any other map once, yes or no, by the loop from which
+orbit_mod_p records its certificates.
 
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. Sieves and trial
@@ -255,10 +258,8 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
       c/(c-r) to base a, with c = b/(1-a) the fixed point (see
       _linear_hitting_time); the identity fixes every residue. Only a
       refutation walks the cycle, once, to record it (tail length 0);
-    * otherwise each step is a Horner evaluation, and the walk stops at 0
-      or at the first repeated residue, whose first index is the tail
-      length. p+1 residues must repeat, so a repeat before any zero means
-      zero is unreachable.
+    * otherwise it takes the residue walk (_walk) that first_refuting_prime
+      shares, and the first index of the repeated residue is the tail length.
 
     p is checked prime by the smallest-prime-factor table when it lies
     inside it, by trial division otherwise.
@@ -278,6 +279,18 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
         if m_p is not None:
             return PrimeCertificate(p, m_p=m_p)
         return PrimeCertificate(p, cycle=(0, _linear_cycle(a, b, x, p)))
+    n, seen = _walk(reduced, x, p)
+    if seen is None:
+        return PrimeCertificate(p, m_p=n)
+    return PrimeCertificate(p, cycle=(n, tuple(seen)[n:]))
+
+
+def _walk(reduced: tuple[int, ...], x: int, p: int) -> tuple[int, dict | None]:
+    """Step x -> u(x) mod p by Horner evaluation over u's coefficients
+    reduced mod p, highest first: (n, None) for the least n >= 1 with
+    u^(n)(x) = 0, or, at the first repeated residue, (tail, seen) with seen
+    mapping each residue visited to its index and tail the repeated one's.
+    p+1 residues must repeat, so zero is unreachable after a repeat."""
     seen = {x: 0}
     for n in range(1, p + 2):
         acc = 0
@@ -285,10 +298,10 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
             acc = (acc * x + c) % p
         x = acc
         if x == 0:
-            return PrimeCertificate(p, m_p=n)
+            return n, None
         hit = seen.get(x)
         if hit is not None:
-            return PrimeCertificate(p, cycle=(hit, tuple(seen)[hit:]))
+            return hit, seen
         seen[x] = n
     raise AssertionError("unreachable: pigeonhole guarantees a zero or a repeat")
 
@@ -387,7 +400,8 @@ def _log_of_order_q(g: int, y: int, q: int, p: int) -> int:
 
 @lru_cache(maxsize=1)  # a harness run certifies every candidate at one (bound, A)
 def _primes_outside(bound: int, A: PrimeSet) -> tuple[int, ...]:
-    return tuple(p for p in primes_up_to(bound) if p not in A)
+    excluded = set(A.primes)
+    return tuple(p for p in primes_up_to(bound) if p not in excluded)
 
 
 def _linear_exponent(u: Polynomial, r: int) -> int | None:
@@ -475,19 +489,21 @@ def first_refuting_prime(
 
 def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
     """Whether the orbit of u from r reaches 0 mod the sieved prime p:
-    orbit_mod_p(u, r, p).hit, with no m_p and no cycle for a map ax+b with
-    a != 0 mod p. A translation or the identity hits exactly when b != 0
-    or r = 0 mod p; any other such map hits exactly when its target (see
-    _linear_target) is a power of a."""
-    if len(u.coeffs) == 2:
-        b, a = u.coeffs
-        a %= p
-        if a == 1:
-            return b % p != 0 or r % p == 0
-        if a:
-            t = _linear_target(a, b % p, r % p, p)
-            return t is not None and _subgroup_order(a, t, p) is not None
-    return orbit_mod_p(u, r, p).hit
+    orbit_mod_p(u, r, p).hit, with no certificate built. Any ax+b is
+    answered in closed form: for a = 0 mod p (constants and the zero map
+    too) the orbit is r, b, b, ..., a hit exactly when b = 0; x+b hits
+    exactly when b != 0 or r = 0; any other map exactly when its target
+    (see _linear_target) is a power of a. Higher degrees take _walk."""
+    if len(u.coeffs) > 2:
+        return _walk(tuple(c % p for c in reversed(u.coeffs)), r % p, p)[1] is None
+    b, a = (*u.coeffs, 0, 0)[:2]
+    a, b = a % p, b % p
+    if a == 0:
+        return b == 0
+    if a == 1:
+        return b != 0 or r % p == 0
+    t = _linear_target(a, b, r % p, p)
+    return t is not None and _subgroup_order(a, t, p) is not None
 
 
 def is_integer_power(base: int, target: int) -> int | None:
@@ -518,13 +534,23 @@ def multiplicative_order(a: int, p: int) -> int:
     least k >= 1 with a^k = 1 mod p.
 
     The order divides p-1, so it starts there and divides out each prime
-    factor q of p-1 for as long as a^(order/q) = 1 mod p. p must be prime
-    (not checked: callers pass sieved primes) and a must be a unit mod p.
+    factor q of p-1 for as long as a^(order/q) = 1 mod p, each q read from
+    the smallest-prime-factor table (from factorize beyond it). p must be
+    prime (not checked: callers pass sieved primes) and a a unit mod p.
     """
     if a % p == 0:
         raise ValueError(f"{a} is not a unit mod {p}")
-    order = p - 1
-    for q in factorize(order):
+    order = n = p - 1
+    spf = _spf
+    if n >= len(spf):
+        for q in factorize(n):
+            while order % q == 0 and pow(a, order // q, p) == 1:
+                order //= q
+        return order
+    while n > 1:
+        q = spf[n] or n
+        while n % q == 0:
+            n //= q
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
@@ -539,11 +565,11 @@ def lemma1_witnesses(
     Per prime this is the subgroup-membership question "is beta/gamma in
     the cyclic group generated by alpha mod p", and it is answered by the
     order of alpha: beta/gamma lies in that group exactly when
-    (beta/gamma)^ord_p(alpha) = 1 mod p. No residue walk is needed; the
-    walk of orbit_mod_p serves certify_local only. Requires that neither
-    beta/gamma nor gamma/beta is a nonnegative integer power of alpha
-    (otherwise a caller logic error: such witnesses cannot exist for almost
-    all primes), and a prime bound of at least 2.
+    (beta/gamma)^ord_p(alpha) = 1 mod p. When ord_p(alpha) = p-1 the group
+    is all of (Z/pZ)*, and no power is taken. No residue walk is needed.
+    Requires that neither beta/gamma nor gamma/beta is a nonnegative
+    integer power of alpha (otherwise a caller logic error: such witnesses
+    cannot exist for almost all primes), and a prime bound of at least 2.
     """
     check_prime_bound(prime_bound)
     if alpha == 0 or beta == 0 or gamma == 0:
@@ -559,5 +585,6 @@ def lemma1_witnesses(
         p
         for p in primes_up_to(prime_bound)
         if product % p
-        and pow(beta * pow(gamma, -1, p), multiplicative_order(alpha, p), p) != 1
+        and (order := multiplicative_order(alpha, p)) != p - 1
+        and pow(beta * pow(gamma, -1, p), order, p) != 1
     ]

@@ -120,7 +120,12 @@ def escape_bound(u: Polynomial) -> EscapeBound:
         raise ValueError(
             "escape bound applies only to degree >= 2 or degree 1 with |slope| >= 2"
         )
-    return EscapeBound(2 * (1 + sum(abs(c) for c in u.coeffs)))
+    return EscapeBound(_escape_bound(u))
+
+
+def _escape_bound(u: Polynomial) -> int:
+    """escape_bound(u).bound, for a u that the caller knows it applies to."""
+    return 2 * (1 + sum(abs(c) for c in u.coeffs))
 
 
 def _linear_slope_one(b: int, r: int) -> OrbitOutcome:
@@ -180,7 +185,7 @@ def decide_nilpotency(
     if d == 1 and u.lead == -1:
         return _linear_slope_minus_one(u.constant, r)
 
-    bound = escape_bound(u).bound
+    bound = _escape_bound(u)
     seen = {r: 0}  # the orbit so far, in insertion order
     x = r
     for n in range(1, max_steps + 1):

@@ -31,7 +31,7 @@ from .modular import (PrimeSet, _as_prime_set, certify_local,  # noqa: F401
                       prime_support)
 from .orbits import (BudgetExceededError, OrbitKind, OrbitOutcome, check_caps,
                      decide_nilpotency)
-from .polynomials import Polynomial, linear
+from .polynomials import DEGREE_MAX, Polynomial, linear
 
 CANDIDATE_BUDGET_DEFAULT = 10**7
 
@@ -40,7 +40,8 @@ CANDIDATE_BUDGET_DEFAULT = 10**7
 class SearchSpace:
     """All nonzero polynomials of degree <= degree with coefficients in
     [-coeff_bound, coeff_bound], classified at (r, A) and searched for a
-    refuting prime up to prime_bound."""
+    refuting prime up to prime_bound. A degree above DEGREE_MAX raises
+    BudgetExceededError before anything is allocated."""
 
     degree: int
     coeff_bound: int
@@ -51,6 +52,10 @@ class SearchSpace:
     def __post_init__(self):
         if self.degree < 1 or self.coeff_bound < 0:
             raise ValueError("degree must be >= 1 and coeff_bound >= 0")
+        if self.degree > DEGREE_MAX:
+            raise BudgetExceededError(
+                f"degree {self.degree} exceeds the degree budget of {DEGREE_MAX}"
+            )
         check_prime_bound(self.prime_bound)
         object.__setattr__(self, "A", _as_prime_set(self.A))
 
@@ -180,10 +185,12 @@ def verify_theorem(
     below 1 are refused.
     """
     check_caps(**caps)
-    if space.cardinality > budget:
-        raise BudgetExceededError(
-            f"{space.cardinality} candidates exceed the budget of {budget}"
-        )
+    count = space.cardinality
+    if count > budget:
+        # A count of thousands of digits is more than str() may convert.
+        text = (str(count) if count.bit_length() <= 64
+                else f"at least 2^{count.bit_length() - 1}")
+        raise BudgetExceededError(f"{text} candidates exceed the budget of {budget}")
     start = time.perf_counter()
     totals: Counter = Counter()
     citations: Counter = Counter()

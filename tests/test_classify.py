@@ -25,7 +25,7 @@ from polyorbit import (
     nilpotency_index,
     parse_poly,
 )
-from polyorbit.classify import THM1_SHAPES, mirror_item
+from polyorbit.classify import THM1_SHAPES, Verdict, mirror_item
 
 
 def expect(v, member, subclass=None, index=None, citation=None):
@@ -450,3 +450,51 @@ class TestOneVerdictAtMinusOne:
             mirror = classify_L1(u.negate_conjugate())
             assert classify(u, -1) == dataclasses.replace(
                 mirror, citation=mirror_item(mirror.citation)), u
+
+
+def polynomial_route_L1(u):
+    """The Thm1 check by whole polynomials: each shape's base evaluated at
+    every root of its modulus, then u compared with x+1."""
+    for citation, index, base, _ in THM1_SHAPES:
+        if all(u.evaluate(j) == base.evaluate(j) for j in range(1, index + 1)):
+            return Verdict(True, True, NILPOTENT, index, citation)
+    if u == linear(1, 1):
+        return Verdict(True, True, STRICTLY_LOCAL, None, "Thm1.4")
+    return Verdict(True, False, None, None, "Thm1")
+
+
+def near_thm1_shapes():
+    """Each Thm1 base plus p(x) times its modulus, for p of degree <= 1
+    with |coefficients| <= 2, shifted by -1, 0 and 1: members of every
+    shape, and maps that agree with a shape at its first roots only."""
+    for _, _, base, modulus in THM1_SHAPES:
+        for p in product(range(-2, 3), repeat=2):
+            for k in (-1, 0, 1):
+                yield base + Polynomial(p) * modulus + k
+
+
+class TestThm1ByRootValues:
+    """classify at r=1 and r=-1 against the polynomial route, which at
+    r=-1 builds the negate-conjugate -u(-x) and mirrors the citation."""
+
+    MAPS = [Polynomial(c) for c in product(range(-2, 3), repeat=4) if any(c)]
+    MAPS += [u for u in near_thm1_shapes() if not u.is_zero()]
+    MAPS += [u.negate_conjugate() for u in near_thm1_shapes() if not u.is_zero()]
+
+    def test_every_thm1_item_is_reached(self):
+        cited = {classify(u, 1).citation for u in self.MAPS}
+        cited |= {classify(u, -1).citation for u in self.MAPS}
+        assert cited == {"Thm1.1", "Thm1.2", "Thm1.3", "Thm1.4", "Thm1",
+                         "Rem4.1", "Rem4.2", "Rem4.3", "Rem4.4", "Rem4"}
+
+    def test_at_one(self):
+        for u in self.MAPS:
+            expected = dataclasses.asdict(polynomial_route_L1(u))
+            assert dataclasses.asdict(classify_L1(u)) == expected, u
+            assert dataclasses.asdict(classify(u, 1)) == expected, u
+
+    def test_at_minus_one(self):
+        for u in self.MAPS:
+            mirror = polynomial_route_L1(u.negate_conjugate())
+            mirror = dataclasses.replace(mirror, citation=mirror_item(mirror.citation))
+            assert dataclasses.asdict(classify(u, -1)) == dataclasses.asdict(mirror), u

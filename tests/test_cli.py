@@ -479,3 +479,18 @@ def test_explore_window_over_the_budget(capsys, small_peak, window):
     assert out == ""
     assert err == ("budget exhausted: 2000000001 start points exceed the "
                    "budget of 10000000\n")
+
+
+@pytest.mark.parametrize("degree, coeff_bound, message", [
+    ("100000", "1", "degree 100000 exceeds the degree budget of 10000"),
+    ("10000000", "0", "degree 10000000 exceeds the degree budget of 10000"),
+    ("1000000000", "0", "degree 1000000000 exceeds the degree budget of 10000"),
+    ("10000", "1", "at least 2^15851 candidates exceed the budget of 10000000"),
+])
+def test_verify_theorem_box_over_the_budget(capsys, small_peak, degree,
+                                            coeff_bound, message):
+    code, out, err = run_cli(capsys, "verify-theorem", "-r", "1", "--degree", degree,
+                             "--coeff-bound", coeff_bound)
+    assert code == EXIT_UNDECIDED
+    assert out == ""
+    assert err == f"budget exhausted: {message}\n"

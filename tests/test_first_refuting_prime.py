@@ -2,6 +2,7 @@
 checked against the refutation that certify_local reports."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from polyorbit import (
     certify_local,
     first_refuting_prime,
     linear,
+    orbit_mod_p,
     parse_poly,
     primes_up_to,
 )
@@ -76,8 +78,8 @@ def test_each_branch(u, r, A, bound, expected):
 ])
 def test_linear_maps_walk_only_at_primes_dividing_the_slope(monkeypatch, u, r,
                                                             bound):
-    """A map ax+b needs no m_p and no cycle: only a prime dividing a falls
-    back to orbit_mod_p."""
+    """A map ax+b needs no m_p, no cycle and no walk: every prime, one
+    dividing a included, is answered in closed form."""
     walked = []
     orbit_mod_p = modular.orbit_mod_p
 
@@ -90,9 +92,8 @@ def test_linear_maps_walk_only_at_primes_dividing_the_slope(monkeypatch, u, r,
 
     monkeypatch.setattr(modular, "orbit_mod_p", counted)
     monkeypatch.setattr(modular, "_discrete_log", refused)
-    refuted_at = first_refuting_prime(u, r, None, bound)
-    last = refuted_at or bound
-    assert walked == [p for p in primes_up_to(last) if u.lead % p == 0]
+    first_refuting_prime(u, r, None, bound)
+    assert walked == []
 
 
 @pytest.mark.parametrize("bound", [1, 0, -5])
@@ -104,3 +105,41 @@ def test_refuses_a_bound_below_two(bound):
 def test_refuses_a_bound_above_the_sieve_budget(small_peak):
     with pytest.raises(BudgetExceededError):
         first_refuting_prime(linear(1, 1), 1, None, PRIME_BOUND_MAX + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_per_prime_answer_matches_the_certificate(p):
+    """Every map of degree <= 3 with coefficients reduced mod p (constants
+    and the zero map among them), and each map of degree <= 1 with its
+    slope lifted by p (slope = 0 mod p, degree 1 over Z), from every start
+    in [-p, p)."""
+    for coeffs in product(range(p), repeat=4):
+        maps = [Polynomial(coeffs)]
+        if not any(coeffs[2:]):
+            maps.append(Polynomial((coeffs[0] - p, coeffs[1] + p)))
+        for u in maps:
+            for r in range(-p, p):
+                expected = orbit_mod_p(u, r, p).hit
+                assert modular._reaches_zero_mod_p(u, r, p) == expected, (u, r)
+
+
+def test_a_large_excluded_set_is_not_scanned(monkeypatch):
+    """2000 excluded primes against a bound of 10^5: the primes outside A
+    match a plain filter, and no prime is looked up by scanning A."""
+    A = PrimeSet(primes_up_to(50000)[1::2][:2000])
+    excluded = set(A.primes)
+    expected = [p for p in primes_up_to(10**5) if p not in excluded]
+
+    def scanned(self, p):
+        raise AssertionError("a prime was looked up by scanning the excluded set")
+
+    monkeypatch.setattr(PrimeSet, "__contains__", scanned)
+    report = certify_local(linear(1, 1), 1, A, 10**5)
+    assert [cert.p for cert in report.certificates] == expected
+    assert first_refuting_prime(linear(2, 6), 6, A, 10**5) is None
+    u = parse_poly("x^2+1")
+    refuted_at = first_refuting_prime(u, 0, A, 10**5)
+    assert refuted_at == certify_local(u, 0, A, 10**5).refuted_at
+    # 3 and 7 are excluded, 2 and 5 are hit, and mod 11 the orbit
+    # 0, 1, 2, 5, 4, 6, 4 cycles.
+    assert refuted_at == 11

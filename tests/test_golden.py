@@ -1,0 +1,150 @@
+"""Golden digests: SHA-256 of outputs that a change to speed alone must
+leave byte-identical.
+
+Each digest covers a canonical JSON rendering (sorted keys, wall times
+dropped). The digests were recorded from the code before the closed-form
+residue answers, the certificate-free residue walk and the one-evaluation
+Thm1 check landed; a change that moves one of them changes an answer, not
+only how fast it comes.
+
+To record them again after a deliberate change of output, run
+`PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from polyorbit import (
+    Polynomial,
+    SearchSpace,
+    certify_local,
+    first_refuting_prime,
+    lemma1_witnesses,
+    verify_theorem,
+)
+from polyorbit.modular import LemmaPreconditionError
+
+# The exhaustive-sweep boxes: (degree, coeff_bound, prime_bound, r).
+BOXES = [(3, 2, 200, r) for r in (-1, 0, 1)] + [(1, 9, 500, r) for r in range(2, 11)]
+
+BOX_DIGESTS = {
+    (3, 2, 200, -1): "a791a852fb3240ad8aff5f00044795ba2c1bf686c5e1c857adc0be53544d2fba",
+    (3, 2, 200, 0): "04cd08a5277ab73b4dece64d0af9612b749136d1ab3f4f8c44b8732fefe267af",
+    (3, 2, 200, 1): "43ac033af2e0901a42ade5ac41eacec39f3f40054dd8208f3c4683c0b7c9a6ec",
+    (1, 9, 500, 2): "5648a6753870f7cccae95b353658dd221312a400b8c9620b9ea67231fb8f2e63",
+    (1, 9, 500, 3): "d7c637865d23a54c71ff3fc20bfe115c967379f0dd872572d836238472291668",
+    (1, 9, 500, 4): "18ff0e1bd023a07cabec29dcead7f6b3b34cef7c2ddab51a423fedf4fef46893",
+    (1, 9, 500, 5): "92a2a17e94e93409038f12f721a6a58d2d331029f7265f0459b446f61034102d",
+    (1, 9, 500, 6): "0fe3f7c92ecc220de1433f70bb0fd43a5d55cb1b16d9be2333609194f8e531ff",
+    (1, 9, 500, 7): "e85ae6dbbc4fac997db43060025d02cc8c722e41974a1cf23b5c6f66291a3ec6",
+    (1, 9, 500, 8): "b2746bb389e80ec0752d283a7c10c89182aa9ade9510fa9781dbef2a1b37be9e",
+    (1, 9, 500, 9): "38ef9250d65ee0c6f29f487e2231e203c29c0809cb69e60d2a251b04dc64b769",
+    (1, 9, 500, 10): "ec840ba2925038f5b0654002545c18d931b1ec9cb36eab64eebf3b123f931cb5",
+}
+CERTIFY_DIGEST = "ac17c7053631cfaa68b39d66eb0d7c8ace33a8fac0e14a1e43fcef956a10911d"
+LEMMA1_DIGEST = "c1a208a9342cb1ba4bbe8ab988703b9b34aba30bf9f40ebe7856f6523a7e4d04"
+REFUTING_DIGEST = "9d621cc2b3caf398d7a2d551c2ce8db8273a7c544c39fc25bea5acee5f51d8bd"
+
+_EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def box_digest(degree: int, coeff_bound: int, prime_bound: int, r: int) -> str:
+    report = verify_theorem(SearchSpace(degree, coeff_bound, r, prime_bound=prime_bound))
+    doc = report.to_dict()
+    del doc["wall_time_s"]
+    return _digest(doc)
+
+
+def _seeded_map(rng: random.Random, max_degree: int, size: int) -> Polynomial:
+    degree = rng.randint(0, max_degree)
+    return Polynomial(rng.randint(-size, size) for _ in range(degree + 1))
+
+
+def certify_digest() -> str:
+    """certify_local on 400 seeded maps of degree <= 3 (constants and the
+    zero map included) and 200 seeded linear maps, at six excluded sets."""
+    rng = random.Random(20261019)
+    rows = []
+    for i in range(600):
+        u = _seeded_map(rng, 3, 9) if i < 400 else _seeded_map(rng, 1, 30)
+        r = rng.randint(-12, 12)
+        A = rng.choice(_EXCLUDED)
+        bound = rng.choice((2, 50, 300, 1000))
+        report = certify_local(u, r, A, bound)
+        certs = [[c.p, c.m_p, None if c.cycle is None else [c.cycle[0], list(c.cycle[1])]]
+                 for c in report.certificates]
+        rows.append([list(u.coeffs), r, list(A), bound, report.refuted_at, certs])
+    return _digest(rows)
+
+
+def lemma1_digest() -> str:
+    """lemma1_witnesses on 300 seeded (alpha, beta, gamma); a triple that
+    fails the search's hypothesis is recorded as refused."""
+    rng = random.Random(20261020)
+    rows = []
+    for _ in range(300):
+        alpha = rng.choice((2, 3, 5, 6, 7, 10, -2, -3, -5))
+        beta = rng.choice([k for k in range(-15, 16) if k])
+        gamma = rng.choice([k for k in range(-15, 16) if k])
+        bound = rng.choice((2, 100, 1000, 3000))
+        try:
+            found = lemma1_witnesses(alpha, beta, gamma, bound)
+        except LemmaPreconditionError:
+            found = "refused"
+        rows.append([alpha, beta, gamma, bound, found])
+    return _digest(rows)
+
+
+def refuting_digest() -> str:
+    """first_refuting_prime over every ax+b with |a|, |b| <= 6 at every
+    r in [-6, 6], and over 1500 seeded maps of degree <= 3."""
+    rows = []
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            for r in range(-6, 7):
+                A = _EXCLUDED[(a + b + r) % len(_EXCLUDED)]
+                rows.append(first_refuting_prime(Polynomial((b, a)), r, A, 400))
+    rng = random.Random(20261021)
+    for _ in range(1500):
+        u = _seeded_map(rng, 3, 12)
+        r = rng.randint(-15, 15)
+        A = rng.choice(_EXCLUDED)
+        bound = rng.choice((2, 3, 60, 400))
+        rows.append([list(u.coeffs), r, list(A), bound,
+                     first_refuting_prime(u, r, A, bound)])
+    return _digest(rows)
+
+
+@pytest.mark.parametrize("box", BOXES, ids=[f"deg{d}-c{c}-p{p}-r{r}" for d, c, p, r in BOXES])
+def test_exhaustive_sweep_box_reports(box):
+    assert box_digest(*box) == BOX_DIGESTS[box]
+
+
+def test_certify_local_certificates():
+    assert certify_digest() == CERTIFY_DIGEST
+
+
+def test_lemma1_witnesses():
+    assert lemma1_digest() == LEMMA1_DIGEST
+
+
+def test_first_refuting_prime_grid():
+    assert refuting_digest() == REFUTING_DIGEST
+
+
+if __name__ == "__main__":
+    print("BOX_DIGESTS = {")
+    for box in BOXES:
+        print(f"    {box}: \"{box_digest(*box)}\",")
+    print("}")
+    print(f"CERTIFY_DIGEST = \"{certify_digest()}\"")
+    print(f"LEMMA1_DIGEST = \"{lemma1_digest()}\"")
+    print(f"REFUTING_DIGEST = \"{refuting_digest()}\"")

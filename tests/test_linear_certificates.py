@@ -324,5 +324,5 @@ class TestNoDiscreteLogForAnExponent:
         assert tuple(walked) == special
         walked.clear()
         assert first_refuting_prime(u, r, PrimeSet(), bound) is None
-        # Only a prime dividing the slope falls back to orbit_mod_p there.
-        assert walked == [p for p in special if u.lead % p == 0]
+        # The search answers every linear prime in closed form, with no walk.
+        assert walked == []

@@ -1,6 +1,7 @@
 """Residue orbits, certificates, primes, and the witness search."""
 
 from itertools import product
+from math import isqrt
 
 import oracles
 import pytest
@@ -26,6 +27,7 @@ from polyorbit import (
     parse_poly,
     primes_up_to,
 )
+import polyorbit.modular as modular
 from polyorbit.modular import PRIME_BOUND_MAX
 
 
@@ -455,14 +457,42 @@ def test_lemma1_refuses_a_prime_bound_below_two(bound):
         lemma1_witnesses(2, 3, 5, bound)
 
 
-@pytest.mark.parametrize("p", primes_up_to(200))
+def least_exponents(p, units):
+    """The least k >= 1 with a^k = 1 mod p for each a in units: the first
+    divisor of p-1 that works (Lagrange), each divisor tried in turn."""
+    n = p - 1
+    divisors = sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0
+                       for d in (i, n // i)})
+    return [next(k for k in divisors if pow(a, k, p) == 1) for a in units]
+
+
+# Primes whose p-1 lies beyond the factor table unless it is grown that
+# far; 2^31-1 lies beyond the sieve budget, so it is factored every time.
+BEYOND_THE_TABLE = [65537, 999983, 1000003, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", primes_up_to(200) + BEYOND_THE_TABLE)
 def test_multiplicative_order_is_the_least_exponent(p):
-    for a in range(1, p):
-        k, x = 1, a
-        while x != 1:
-            k, x = k + 1, x * a % p
-        assert multiplicative_order(a, p) == k
-        assert multiplicative_order(a - p, p) == k
+    """Each order is found twice: with p-1 beyond the smallest-prime-factor
+    table (factored by trial division), then read from the table grown to
+    cover p, where the sieve budget allows."""
+    if p < 200:
+        units, expected = range(1, p), []
+        for a in units:
+            k, x = 1, a
+            while x != 1:
+                k, x = k + 1, x * a % p
+            expected.append(k)
+    else:
+        units = range(1, 40)
+        expected = least_exponents(p, units)
+    assert len(modular._spf) == 2  # each test starts from the initial table
+    for grown in (False, True):
+        if grown and p <= PRIME_BOUND_MAX:
+            primes_up_to(p)  # the table now covers p-1
+        for a, k in zip(units, expected):
+            assert multiplicative_order(a, p) == k
+            assert multiplicative_order(a - p, p) == k
 
 
 def test_multiplicative_order_refuses_a_non_unit():

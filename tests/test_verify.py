@@ -1,6 +1,7 @@
 """Enumeration harness, window explorers, and catalog-member generators."""
 
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from polyorbit import (
     parse_poly,
     verify_theorem,
 )
+from polyorbit.polynomials import DEGREE_MAX
 
 
 class TestSearchSpace:
@@ -43,6 +45,24 @@ class TestSearchSpace:
     def test_prime_bound_below_two_refused_up_front(self, coeff_bound, bound):
         with pytest.raises(ValueError, match=f"prime bound must be >= 2, got {bound}"):
             SearchSpace(degree=1, coeff_bound=coeff_bound, r=1, prime_bound=bound)
+
+    @pytest.mark.parametrize("degree", [DEGREE_MAX + 1, 10**7, 10**9])
+    @pytest.mark.parametrize("coeff_bound", [0, 1])
+    def test_degree_over_the_budget_refused_before_allocation(self, small_peak,
+                                                              degree, coeff_bound):
+        with pytest.raises(BudgetExceededError, match=f"degree {degree} exceeds "
+                           f"the degree budget of {DEGREE_MAX}"):
+            SearchSpace(degree=degree, coeff_bound=coeff_bound, r=1)
+
+    def test_unprintable_count_over_the_budget(self, small_peak):
+        """3^10001 - 1 candidates has 4,772 digits, past what str() converts."""
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                "at least 2^15851 candidates exceed the budget of 10000000")):
+            verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=1, r=1))
+
+    def test_degree_at_the_budget_with_no_candidates(self):
+        report = verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=0, r=1))
+        assert report.candidates_checked == 0
 
     def test_to_dict_keys_and_excluded_primes(self):
         space = SearchSpace(degree=2, coeff_bound=1, r=2, A=[5, 3], prime_bound=40)
