@@ -1,0 +1,146 @@
+"""Alternating benchmark pairs: a parent tree against a changed tree.
+
+Usage, from the repository root:
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --workload exhaustive-sweep --pairs 10 --first-seed 2001 --out BENCH_<n>.json
+
+Each tree is a checkout holding perfbench/run.py and src/ (a second clone or
+`git worktree` of the parent commit, and the change). Pair i runs both trees
+on seed first_seed + i, the parent first on even i and the change first on
+odd i, so that neither side always meets the host's warmer or cooler spell.
+Every run's last stdout line (the JSON result) and its
+.bench_out/<workload>-seed<N>-trace0.json record (provenance, commit) are
+kept. The summary gives, per end-to-end metric of BENCHMARK.json: both
+medians with quartiles, the pairs the change wins (a tie counts for
+neither side), the median gap against the parent's quartile spread, and
+whether the change stays inside the metric's bound. Runs and summary are
+written to --out under the workload's name; the other workloads of an
+existing --out file are kept, so one file holds several workloads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: list[dict], spec: dict) -> dict:
+    """Per end-to-end metric of spec (BENCHMARK.json), compare the change's
+    runs with the parent's. runs holds one {"pair", "side", "metrics"} entry
+    per run, metrics mapping each name to {"value": ...}; pairs missing a
+    side are ignored."""
+    by_pair: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    pairs = [p for p in sorted(by_pair) if {"parent", "change"} <= set(by_pair[p])]
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        if not pairs:
+            continue
+        parent = [by_pair[p]["parent"][name]["value"] for p in pairs]
+        change = [by_pair[p]["change"][name]["value"] for p in pairs]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(parent, change))
+        losses = sum((c > b) if lower else (c < b) for b, c in zip(parent, change))
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        gap = (p_med - c_med) if lower else (c_med - p_med)  # > 0: change better
+        worse_by = -gap / p_med if p_med else 0.0
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
+            "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+            "pairs": len(pairs),
+            "change_wins": wins,
+            "parent_wins": losses,
+            "median_gap": gap,
+            "parent_spread": p_q3 - p_q1,
+            "gap_exceeds_spread": gap > p_q3 - p_q1,
+            "relative_change": (c_med - p_med) / p_med if p_med else 0.0,
+            "bound": metric["bound"],
+            "within_bound": worse_by <= metric["bound"],
+        }
+    return out
+
+
+def format_summary(workload: str, summary: dict) -> list[str]:
+    lines = [f"# {workload}"]
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        lines.append(
+            f"{name:18s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+            f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {s['unit']}"
+            f"  {s['relative_change']:+.1%}  wins {s['change_wins']}/{s['pairs']}"
+            f"  gap {s['median_gap']:.4g} vs spread {s['parent_spread']:.4g}"
+            f"  {'within' if s['within_bound'] else 'OUTSIDE'} bound {s['bound']}")
+    return lines
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in tree: its JSON result and record."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record_path = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    return {"result": result, "provenance": record["provenance"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = []
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            got = run_once(trees[side], args.workload, seed, args.seconds)
+            runs.append({"pair": i, "seed": seed, "side": side,
+                         "metrics": got["result"]["metrics"],
+                         "correct": got["result"]["correct"],
+                         "failed": got["result"]["failed"],
+                         "attempted": got["result"]["attempted"],
+                         "provenance": got["provenance"]})
+            print(f"pair {i} seed {seed} {side}: failed {got['result']['failed']}",
+                  file=sys.stderr, flush=True)
+    summary = summarize(runs, spec)
+    print("\n".join(format_summary(args.workload, summary)))
+    doc = {}
+    if args.out.exists():
+        doc = json.loads(args.out.read_text(encoding="utf-8"))
+    doc.setdefault("workloads", {})[args.workload] = {
+        "pairs": args.pairs, "first_seed": args.first_seed, "seconds": args.seconds,
+        "summary": summary, "runs": runs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

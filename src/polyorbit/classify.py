@@ -150,7 +150,8 @@ def _classify_L1(u: Polynomial, s: int, cite: Callable[[str], str]) -> Verdict:
     """classify_L1's verdict on v(x) = s*u(s*x), citation mapped by cite:
     s = -1 gives the r=-1 mirror without building the negate-conjugate v.
     v is evaluated at 1, 2, 3 only as far as a shape needs it."""
-    _require_nonzero(u)
+    if not u.coeffs:
+        _require_nonzero(u)
     values: list[int] = []  # v(1), v(2), ... as far as evaluated
     for citation, index, targets in _THM1_ROOT_VALUES:
         for j, target in enumerate(targets, 1):
@@ -265,8 +266,9 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
 
 def _sr_linear(u: Polynomial, r: int, orbit: OrbitOutcome | None) -> Verdict:
     """classify_Sr_linear's verdict, carrying orbit, built once."""
-    _require_nonzero(u)
-    if u.degree != 1:
+    if not u.coeffs:
+        _require_nonzero(u)
+    if len(u.coeffs) != 2:
         raise ValueError("this classifier covers degree 1 only")
     if abs(r) < 2:
         raise ValueError("this classifier covers |r| >= 2 only")
@@ -283,7 +285,7 @@ def _sr_linear_item(u: Polynomial, r: int) -> tuple[str | None, str, str]:
     STRICTLY_LOCAL for a member and None for a non-member."""
     r_fac = factorize(r)
     r_primes = set(r_fac)
-    a, b = u.lead, u.constant
+    b, a = u.coeffs
     if a == 1 and b != 0 and prime_support(b) <= r_primes:
         if b > 0:
             return STRICTLY_LOCAL, "Thm4.1", ""
@@ -316,12 +318,16 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
     degree 1; |r| >= 2 with empty A (nilpotency decided by the orbit
     engine first, under the decide_nilpotency caps given as keywords, then
     Fact1 for degree >= 2, the strictly-local catalog for degree 1).
-    Everything else returns decidable=False. Caps below 1 are refused.
+    Everything else returns decidable=False. Caps below 1 are refused;
+    no caps means the defaults, which need no check.
     """
-    _require_nonzero(u)
-    check_caps(**caps)
+    coeffs = u.coeffs
+    if not coeffs:
+        _require_nonzero(u)
+    if caps:
+        check_caps(**caps)
     A = _as_prime_set(A)
-    if len(A) == 0:
+    if not A.primes:
         if r == 1:
             return classify_L1(u)
         if r == -1:
@@ -334,15 +340,16 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
         if outcome.kind is OrbitKind.EXHAUSTED:
             note = f"orbit of {u} at {r} undecided at the resource caps"
             return Verdict(False, None, note=note, orbit=outcome)
-        if u.degree == 0:
+        degree = len(coeffs) - 1
+        if degree == 0:
             note = "constants are outside every membership set"
             return Verdict(True, False, citation="Def.L", note=note, orbit=outcome)
-        if u.degree >= 2:
+        if degree >= 2:
             return Verdict(True, False, citation="Fact1", orbit=outcome)
         return _sr_linear(u, r, outcome)
-    if r == 1 and u.degree == 1:
+    if r == 1 and len(coeffs) == 2:
         return classify_L1A_linear(u, A)
     return _undecidable(
-        f"no exact classifier for r={r}, A={A}, degree={u.degree}; "
+        f"no exact classifier for r={r}, A={A}, degree={len(coeffs) - 1}; "
         "use certify_local (a refutation there is a proof of non-membership)"
     )

@@ -35,7 +35,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .orbits import BudgetExceededError
 from .polynomials import Polynomial
@@ -285,7 +285,7 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     return PrimeCertificate(p, cycle=(n, tuple(seen)[n:]))
 
 
-def _walk(reduced: tuple[int, ...], x: int, p: int) -> tuple[int, dict | None]:
+def _walk(reduced: Sequence[int], x: int, p: int) -> tuple[int, dict | None]:
     """Step x -> u(x) mod p by Horner evaluation over u's coefficients
     reduced mod p, highest first: (n, None) for the least n >= 1 with
     u^(n)(x) = 0, or, at the first repeated residue, (tail, seen) with seen
@@ -399,9 +399,11 @@ def _log_of_order_q(g: int, y: int, q: int, p: int) -> int:
 
 
 @lru_cache(maxsize=1)  # a harness run certifies every candidate at one (bound, A)
-def _primes_outside(bound: int, A: PrimeSet) -> tuple[int, ...]:
-    excluded = set(A.primes)
-    return tuple(p for p in primes_up_to(bound) if p not in excluded)
+def _primes_outside(bound: int, excluded: tuple[int, ...]) -> tuple[int, ...]:
+    """The primes up to bound not in excluded, a PrimeSet's primes: the
+    cache is keyed on that tuple, hashed in C, not on the PrimeSet."""
+    skip = set(excluded)
+    return tuple(p for p in primes_up_to(bound) if p not in skip)
 
 
 def _linear_exponent(u: Polynomial, r: int) -> int | None:
@@ -453,7 +455,7 @@ def certify_local(
     e = _linear_exponent(u, r)
     special = 0 if e is None else _exceptional_product(u, r)
     certificates = []
-    for p in _primes_outside(prime_bound, _as_prime_set(A)):
+    for p in _primes_outside(prime_bound, _as_prime_set(A).primes):
         if special % p:
             order = multiplicative_order(u.lead, p)
             cert = PrimeCertificate(p, m_p=-e % order or order)
@@ -481,7 +483,8 @@ def first_refuting_prime(
     divide it are tested. The product is never factored."""
     check_prime_bound(prime_bound)
     special = 0 if _linear_exponent(u, r) is None else _exceptional_product(u, r)
-    for p in _primes_outside(prime_bound, _as_prime_set(A)):
+    excluded = A.primes if isinstance(A, PrimeSet) else _as_prime_set(A).primes
+    for p in _primes_outside(prime_bound, excluded):
         if not special % p and not _reaches_zero_mod_p(u, r, p):
             return p
     return None
@@ -493,10 +496,15 @@ def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
     answered in closed form: for a = 0 mod p (constants and the zero map
     too) the orbit is r, b, b, ..., a hit exactly when b = 0; x+b hits
     exactly when b != 0 or r = 0; any other map exactly when its target
-    (see _linear_target) is a power of a. Higher degrees take _walk."""
-    if len(u.coeffs) > 2:
-        return _walk(tuple(c % p for c in reversed(u.coeffs)), r % p, p)[1] is None
-    b, a = (*u.coeffs, 0, 0)[:2]
+    (see _linear_target) is a power of a. Higher degrees take _walk over
+    coefficients reduced mod p once per prime, so that no step multiplies
+    big integers."""
+    coeffs = u.coeffs
+    if len(coeffs) > 2:
+        return _walk([c % p for c in reversed(coeffs)], r % p, p)[1] is None
+    if len(coeffs) < 2:  # a constant or the zero map: r, b, b, ...
+        return not coeffs or coeffs[0] % p == 0
+    b, a = coeffs
     a, b = a % p, b % p
     if a == 0:
         return b == 0

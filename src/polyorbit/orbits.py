@@ -74,10 +74,12 @@ class EscapeBound:
 def check_caps(
     *, max_steps: int = MAX_STEPS_DEFAULT, max_bits: int = MAX_BITS_DEFAULT
 ) -> None:
-    """Refuse a step or bit cap below 1: no orbit can be decided under it."""
-    for name, cap in (("max_steps", max_steps), ("max_bits", max_bits)):
-        if cap < 1:
-            raise ValueError(f"{name} must be >= 1, got {cap}")
+    """Refuse a step or bit cap below 1: no orbit can be decided under it.
+    The defaults are valid, so a caller given no caps need not call this."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if max_bits < 1:
+        raise ValueError(f"max_bits must be >= 1, got {max_bits}")
 
 
 def iterate_value(
@@ -124,8 +126,9 @@ def escape_bound(u: Polynomial) -> EscapeBound:
 
 
 def _escape_bound(u: Polynomial) -> int:
-    """escape_bound(u).bound, for a u that the caller knows it applies to."""
-    return 2 * (1 + sum(abs(c) for c in u.coeffs))
+    """escape_bound(u).bound, for a u that the caller knows it applies to:
+    the one formula, read by escape_bound and by decide_nilpotency."""
+    return 2 * (1 + sum(map(abs, u.coeffs)))
 
 
 def _linear_slope_one(b: int, r: int) -> OrbitOutcome:
@@ -170,26 +173,35 @@ def decide_nilpotency(
     (zero hit / revisit / escape) is exhaustive, so EXHAUSTED can only come
     from the resource caps. Slope +-1 linear maps and constants are decided
     in closed form. The zero polynomial and caps below 1 are rejected.
+
+    The coefficients are read once, and the orbit is stepped by Horner's
+    rule inline over them, highest first: one evaluation a step, with no
+    method call.
     """
-    check_caps(max_steps=max_steps, max_bits=max_bits)
-    if u.is_zero():
+    if max_steps < 1 or max_bits < 1:
+        check_caps(max_steps=max_steps, max_bits=max_bits)
+    coeffs = u.coeffs
+    if not coeffs:
         raise ValueError("nilpotency is defined only for nonzero polynomials")
-    d = u.degree
-    if d == 0:
-        c = u.constant  # orbit is c, c, ...; c != 0 since u is nonzero
+    if len(coeffs) == 1:
+        c = coeffs[0]  # orbit is c, c, ...; c != 0 since u is nonzero
         if c == r:
             return OrbitOutcome(OrbitKind.CYCLE, steps_used=1, cycle_witness=(0, (c,)))
         return OrbitOutcome(OrbitKind.CYCLE, steps_used=2, cycle_witness=(1, (c,)))
-    if d == 1 and u.lead == 1:
-        return _linear_slope_one(u.constant, r)
-    if d == 1 and u.lead == -1:
-        return _linear_slope_minus_one(u.constant, r)
+    if len(coeffs) == 2 and coeffs[1] == 1:
+        return _linear_slope_one(coeffs[0], r)
+    if len(coeffs) == 2 and coeffs[1] == -1:
+        return _linear_slope_minus_one(coeffs[0], r)
 
     bound = _escape_bound(u)
+    highest_first = coeffs[::-1]
     seen = {r: 0}  # the orbit so far, in insertion order
     x = r
     for n in range(1, max_steps + 1):
-        x = u.evaluate(x)
+        acc = 0
+        for c in highest_first:
+            acc = acc * x + c
+        x = acc
         if x == 0:
             return OrbitOutcome(OrbitKind.REACHED_ZERO, steps_used=n, index=n)
         if abs(x) >= bound:

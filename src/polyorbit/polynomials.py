@@ -44,6 +44,17 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of_ints(cls, vec: tuple[int, ...]) -> "Polynomial":
+        """Polynomial(vec) for a tuple of ints the caller vouches for: no
+        int() per coefficient, and trailing zeros dropped by index."""
+        n = len(vec)
+        while n and not vec[n - 1]:
+            n -= 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", vec[:n])
+        return self
+
     # -- structure ---------------------------------------------------------
 
     @property

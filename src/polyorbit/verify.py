@@ -34,6 +34,7 @@ from .orbits import (BudgetExceededError, OrbitKind, OrbitOutcome, check_caps,
 from .polynomials import DEGREE_MAX, Polynomial, linear
 
 CANDIDATE_BUDGET_DEFAULT = 10**7
+EXACT_COUNT_BITS = 2**16  # the largest box count an over-budget message computes
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,13 @@ class SearchSpace:
         return (2 * self.coeff_bound + 1) ** (self.degree + 1) - 1
 
     def candidates(self) -> Iterator[Polynomial]:
+        """Every nonzero candidate, in lexicographic coefficient-vector
+        order, built from product's int tuples with no re-validation."""
         rng = range(-self.coeff_bound, self.coeff_bound + 1)
+        of_ints = Polynomial._of_ints
         for vec in product(rng, repeat=self.degree + 1):
             if any(vec):
-                yield Polynomial(vec)
+                yield of_ints(vec)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "A": list(self.A)}
@@ -153,20 +157,49 @@ def _evidence(
 
 def _findings(
     v: Verdict, outcome: OrbitOutcome, refuted_at: int | None
-) -> Iterator[str]:
+) -> list[str]:
     """The hard discrepancies between a verdict and its decided orbit."""
     if not v.decidable:
-        yield "classifier undecidable inside an exact-theorem space"
-        return
+        return ["classifier undecidable inside an exact-theorem space"]
+    found = []
     if outcome.kind is OrbitKind.REACHED_ZERO:
         if not v.member:
-            yield f"orbit reaches 0 at step {outcome.index} but classified non-member"
+            found.append(
+                f"orbit reaches 0 at step {outcome.index} but classified non-member")
         elif v.subclass != NILPOTENT or v.index != outcome.index:
-            yield f"orbit nilpotency index is {outcome.index}"
+            found.append(f"orbit nilpotency index is {outcome.index}")
     elif v.member and v.subclass == NILPOTENT:
-        yield f"orbit never reaches 0 ({outcome.kind.value})"
+        found.append(f"orbit never reaches 0 ({outcome.kind.value})")
     if refuted_at is not None and v.member:
-        yield f"residue orbit refutes membership at p={refuted_at}"
+        found.append(f"residue orbit refutes membership at p={refuted_at}")
+    return found
+
+
+def _check_box_budget(space: SearchSpace, budget: int) -> None:
+    """Refuse a box of more than budget candidates. The count is compared
+    with the budget one factor 2c+1 at a time, so a box far over it is
+    refused after a few multiplications. The message gives the exact count
+    only when the power has at most EXACT_COUNT_BITS bits; otherwise the
+    lower bound 2^((degree+1)(bit_length(2c+1)-1)), which holds because
+    2c+1 is odd, so above 2^(bit_length-1) for c >= 1 (c = 0 always takes
+    the exact count)."""
+    base = 2 * space.coeff_bound + 1
+    power = 1
+    for _ in range(space.degree + 1):
+        power *= base
+        if power - 1 > budget:
+            break
+    else:
+        return
+    factors = space.degree + 1
+    if factors * base.bit_length() > EXACT_COUNT_BITS:
+        text = f"at least 2^{factors * (base.bit_length() - 1)}"
+    else:
+        count = space.cardinality
+        # A count of thousands of digits is more than str() may convert.
+        text = (str(count) if count.bit_length() <= 64
+                else f"at least 2^{count.bit_length() - 1}")
+    raise BudgetExceededError(f"{text} candidates exceed the budget of {budget}")
 
 
 def verify_theorem(
@@ -185,12 +218,7 @@ def verify_theorem(
     below 1 are refused.
     """
     check_caps(**caps)
-    count = space.cardinality
-    if count > budget:
-        # A count of thousands of digits is more than str() may convert.
-        text = (str(count) if count.bit_length() <= 64
-                else f"at least 2^{count.bit_length() - 1}")
-        raise BudgetExceededError(f"{text} candidates exceed the budget of {budget}")
+    _check_box_budget(space, budget)
     start = time.perf_counter()
     totals: Counter = Counter()
     citations: Counter = Counter()
@@ -210,10 +238,10 @@ def verify_theorem(
                 {"poly": str(u), "reason": "orbit undecided at resource caps"}
             )
             continue
-        discrepancies.extend(
-            Discrepancy(str(u), _verdict_summary(v), finding)
-            for finding in _findings(v, outcome, refuted_at)
-        )
+        findings = _findings(v, outcome, refuted_at)
+        if findings:
+            poly, summary = str(u), _verdict_summary(v)
+            discrepancies.extend(Discrepancy(poly, summary, f) for f in findings)
         if (v.decidable and not v.member and refuted_at is None
                 and outcome.kind is not OrbitKind.REACHED_ZERO):
             review_flags.append(

@@ -486,6 +486,8 @@ def test_explore_window_over_the_budget(capsys, small_peak, window):
     ("10000000", "0", "degree 10000000 exceeds the degree budget of 10000"),
     ("1000000000", "0", "degree 1000000000 exceeds the degree budget of 10000"),
     ("10000", "1", "at least 2^15851 candidates exceed the budget of 10000000"),
+    ("10000", str(2 * 10**4299),
+     "at least 2^142834282 candidates exceed the budget of 10000000"),
 ])
 def test_verify_theorem_box_over_the_budget(capsys, small_peak, degree,
                                             coeff_bound, message):

@@ -143,3 +143,40 @@ def test_a_large_excluded_set_is_not_scanned(monkeypatch):
     # 3 and 7 are excluded, 2 and 5 are hit, and mod 11 the orbit
     # 0, 1, 2, 5, 4, 6, 4 cycles.
     assert refuted_at == 11
+
+
+def test_reaches_zero_on_huge_coefficients_matches_the_certificate():
+    """Maps with 60-digit coefficients, some of them multiples of every
+    prime up to 31, against orbit_mod_p for every p <= 31 and r in [-3, 3]."""
+    rng = random.Random(20261019)
+    primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
+
+    def coefficient():
+        big = rng.randint(10**59, 10**60)
+        return rng.choice((1, -1)) * (big - big % primorial + rng.randint(-2, 2))
+
+    maps = [Polynomial()] + [
+        Polynomial(coefficient() for _ in range(degree + 1))
+        for degree in (0, 1, 1, 1, 1, 2, 2, 3, 3) for _ in range(4)
+    ]
+    for u in maps:
+        for p in primes_up_to(31):
+            for r in range(-3, 4):
+                assert modular._reaches_zero_mod_p(u, r, p) == orbit_mod_p(u, r, p).hit, (
+                    u, r, p)
+
+
+@pytest.mark.parametrize("A", [(), (2,), (3, 2, 3), (7, 5, 3, 2)])
+def test_excluded_set_in_any_form(A):
+    """A list, a tuple and a PrimeSet give the same answer, whichever of
+    them filled the prime-list cache first."""
+    rng = random.Random(20261020)
+    for _ in range(60):
+        degree = rng.choice((0, 1, 1, 2, 3))
+        u = Polynomial(rng.randint(-9, 9) for _ in range(degree + 1))
+        r = rng.randint(-8, 8)
+        answers = []
+        for form in (list(A), tuple(A), PrimeSet(A)):
+            modular._primes_outside.cache_clear()
+            answers.append(first_refuting_prime(u, r, form, 200))
+        assert answers == [certify_local(u, r, A, 200).refuted_at] * 3, (u, r)

@@ -4,8 +4,9 @@ leave byte-identical.
 Each digest covers a canonical JSON rendering (sorted keys, wall times
 dropped). The digests were recorded from the code before the closed-form
 residue answers, the certificate-free residue walk and the one-evaluation
-Thm1 check landed; a change that moves one of them changes an answer, not
-only how fast it comes.
+Thm1 check landed, and the orbit and verdict digests before the inline
+orbit loop; a change that moves one of them changes an answer, not only
+how fast it comes.
 
 To record them again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
@@ -14,6 +15,7 @@ To record them again after a deliberate change of output, run
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -21,6 +23,8 @@ from polyorbit import (
     Polynomial,
     SearchSpace,
     certify_local,
+    classify,
+    decide_nilpotency,
     first_refuting_prime,
     lemma1_witnesses,
     verify_theorem,
@@ -47,6 +51,8 @@ BOX_DIGESTS = {
 CERTIFY_DIGEST = "ac17c7053631cfaa68b39d66eb0d7c8ace33a8fac0e14a1e43fcef956a10911d"
 LEMMA1_DIGEST = "c1a208a9342cb1ba4bbe8ab988703b9b34aba30bf9f40ebe7856f6523a7e4d04"
 REFUTING_DIGEST = "9d621cc2b3caf398d7a2d551c2ce8db8273a7c544c39fc25bea5acee5f51d8bd"
+ORBIT_DIGEST = "573685e6edd25b8befc884eef6e56735dcdd3fd163138fb464fd55cd628b52aa"
+VERDICT_DIGEST = "ce424d607df6a30b765739a83e66535016e61456c08427cf1754582e660a9e4c"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -123,6 +129,45 @@ def refuting_digest() -> str:
     return _digest(rows)
 
 
+# The orbit and verdict grids: every nonzero map of degree <= 3 with
+# |c| <= 2, every r in [-6, 6], at the default caps and at caps small enough
+# that some decisions end EXHAUSTED.
+_GRID_MAPS = [Polynomial(vec) for vec in product(range(-2, 3), repeat=4) if any(vec)]
+_GRID_CAPS = ({},) + tuple({"max_steps": s, "max_bits": b} for s in (1, 3) for b in (1, 4))
+
+
+def _outcome_row(outcome) -> list | None:
+    if outcome is None:
+        return None
+    witness = outcome.cycle_witness
+    return [outcome.kind.value, outcome.steps_used, outcome.index,
+            None if witness is None else [witness[0], list(witness[1])],
+            None if outcome.escape_data is None else list(outcome.escape_data)]
+
+
+def orbit_digest() -> str:
+    """Every OrbitOutcome field of decide_nilpotency over the grid."""
+    return _digest([
+        [list(u.coeffs), r, caps, _outcome_row(decide_nilpotency(u, r, **caps))]
+        for caps in _GRID_CAPS for u in _GRID_MAPS for r in range(-6, 7)
+    ])
+
+
+def verdict_digest() -> str:
+    """Every Verdict field of classify, orbit included, over the grid at
+    A in {}, {2} and {3}."""
+    rows = []
+    for A in ((), (2,), (3,)):
+        for caps in _GRID_CAPS:
+            for u in _GRID_MAPS:
+                for r in range(-6, 7):
+                    v = classify(u, r, A, **caps)
+                    rows.append([list(u.coeffs), r, list(A), caps, v.decidable,
+                                 v.member, v.subclass, v.index, v.citation, v.note,
+                                 _outcome_row(v.orbit)])
+    return _digest(rows)
+
+
 @pytest.mark.parametrize("box", BOXES, ids=[f"deg{d}-c{c}-p{p}-r{r}" for d, c, p, r in BOXES])
 def test_exhaustive_sweep_box_reports(box):
     assert box_digest(*box) == BOX_DIGESTS[box]
@@ -140,6 +185,14 @@ def test_first_refuting_prime_grid():
     assert refuting_digest() == REFUTING_DIGEST
 
 
+def test_decide_nilpotency_outcomes():
+    assert orbit_digest() == ORBIT_DIGEST
+
+
+def test_classify_verdicts():
+    assert verdict_digest() == VERDICT_DIGEST
+
+
 if __name__ == "__main__":
     print("BOX_DIGESTS = {")
     for box in BOXES:
@@ -148,3 +201,5 @@ if __name__ == "__main__":
     print(f"CERTIFY_DIGEST = \"{certify_digest()}\"")
     print(f"LEMMA1_DIGEST = \"{lemma1_digest()}\"")
     print(f"REFUTING_DIGEST = \"{refuting_digest()}\"")
+    print(f"ORBIT_DIGEST = \"{orbit_digest()}\"")
+    print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")

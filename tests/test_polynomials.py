@@ -1,5 +1,7 @@
 """Parsing, printing, evaluation, composition, and the two transforms."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -231,3 +233,12 @@ class TestArithmetic:
     def test_divides(self):
         assert linear(1, -1).divides(parse_poly("x^2-1"))
         assert not linear(1, -1).divides(parse_poly("x^2+1"))
+
+
+def test_of_ints_matches_the_constructor():
+    """The private constructor the search box uses, on every vector of a
+    degree-3, |c| <= 2 box (the all-zero vector too)."""
+    for vec in product(range(-2, 3), repeat=4):
+        u, expected = Polynomial._of_ints(vec), Polynomial(vec)
+        assert u == expected and hash(u) == hash(expected)
+        assert type(u.coeffs) is tuple and u.coeffs == expected.coeffs

@@ -22,6 +22,7 @@ from polyorbit import (
     parse_poly,
     verify_theorem,
 )
+from polyorbit import verify
 from polyorbit.polynomials import DEGREE_MAX
 
 
@@ -59,6 +60,40 @@ class TestSearchSpace:
         with pytest.raises(BudgetExceededError, match=re.escape(
                 "at least 2^15851 candidates exceed the budget of 10000000")):
             verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=1, r=1))
+
+    def test_huge_coefficient_bound_refused_without_the_power(self, small_peak):
+        """(4*10^4299 + 1)^10001 has about 1.4*10^8 bits: the box is refused
+        after one factor, and the message gives a lower bound."""
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                "at least 2^142834282 candidates exceed the budget of 10000000")):
+            verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=2 * 10**4299, r=1))
+
+    @pytest.mark.parametrize("coeff_bound, exponent", [(100, 70007), (10**6, 200020)])
+    def test_count_past_the_exact_size_gives_a_lower_bound(self, coeff_bound, exponent):
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"at least 2^{exponent} candidates exceed the budget of 10000000")):
+            verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=coeff_bound, r=1))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("coeff_bound", [1, 2, 3, 7, 8, 100, 2**20])
+    def test_lower_bound_is_below_the_exact_count(self, monkeypatch, degree,
+                                                  coeff_bound):
+        """With no count computed in full, every message is a true bound."""
+        monkeypatch.setattr(verify, "EXACT_COUNT_BITS", 0)
+        space = SearchSpace(degree=degree, coeff_bound=coeff_bound, r=1)
+        with pytest.raises(BudgetExceededError) as caught:
+            verify_theorem(space, budget=0)
+        exponent = int(re.match(r"at least 2\^(\d+) ", str(caught.value)).group(1))
+        assert 2**exponent <= space.cardinality
+
+    @pytest.mark.parametrize("degree, coeff_bound", [(1, 1), (3, 2), (2, 9)])
+    def test_budget_admits_its_own_count(self, degree, coeff_bound):
+        space = SearchSpace(degree=degree, coeff_bound=coeff_bound, r=1)
+        count = space.cardinality
+        assert verify_theorem(space, budget=count).candidates_checked == count
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"{count} candidates exceed the budget of {count - 1}")):
+            verify_theorem(space, budget=count - 1)
 
     def test_degree_at_the_budget_with_no_candidates(self):
         report = verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=0, r=1))
