@@ -15,8 +15,11 @@ kept. The summary gives, per end-to-end metric of BENCHMARK.json: both
 medians with quartiles, the pairs the change wins (a tie counts for
 neither side), the median gap against the parent's quartile spread, and
 whether the change stays inside the metric's bound. Runs and summary are
-written to --out under the workload's name; the other workloads of an
-existing --out file are kept, so one file holds several workloads.
+written to --out under the workload's name after every run; the other
+workloads of an existing --out file are kept, so one file holds several
+workloads. A run that exits non-zero is recorded with its exit code and
+the last lines of its stderr, which are also printed, and the script then
+stops with exit status 1, keeping every earlier run in --out.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20  # stderr lines kept from a failed run
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,14 +97,33 @@ def format_summary(workload: str, summary: dict) -> list[str]:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in tree: its JSON result and record."""
+    """One untraced perfbench run in tree: its JSON result and record, or,
+    when it exits non-zero, its exit code and the last lines of its stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        return {"exit_code": done.returncode,
+                "stderr_tail": done.stderr.splitlines()[-STDERR_TAIL:]}
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record_path = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(record_path.read_text(encoding="utf-8"))
     return {"result": result, "provenance": record["provenance"]}
+
+
+def write_out(args: argparse.Namespace, spec: dict, runs: list[dict]) -> dict:
+    """Write the runs so far, and the summary of those that finished, to
+    --out under the workload's name; return that summary."""
+    summary = summarize([run for run in runs if "metrics" in run], spec)
+    doc = {}
+    if args.out.exists():
+        doc = json.loads(args.out.read_text(encoding="utf-8"))
+    doc.setdefault("workloads", {})[args.workload] = {
+        "pairs": args.pairs, "first_seed": args.first_seed, "seconds": args.seconds,
+        "summary": summary, "runs": runs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return summary
 
 
 def main(argv=None) -> int:
@@ -115,30 +138,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
+    runs, summary = [], {}
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             got = run_once(trees[side], args.workload, seed, args.seconds)
-            runs.append({"pair": i, "seed": seed, "side": side,
-                         "metrics": got["result"]["metrics"],
+            run = {"pair": i, "seed": seed, "side": side}
+            if "exit_code" in got:
+                runs.append({**run, **got})
+                write_out(args, spec, runs)
+                print(f"pair {i} seed {seed} {side}: exit code {got['exit_code']}",
+                      *got["stderr_tail"], sep="\n", file=sys.stderr, flush=True)
+                return 1
+            runs.append({**run, "metrics": got["result"]["metrics"],
                          "correct": got["result"]["correct"],
                          "failed": got["result"]["failed"],
                          "attempted": got["result"]["attempted"],
                          "provenance": got["provenance"]})
+            summary = write_out(args, spec, runs)
             print(f"pair {i} seed {seed} {side}: failed {got['result']['failed']}",
                   file=sys.stderr, flush=True)
-    summary = summarize(runs, spec)
     print("\n".join(format_summary(args.workload, summary)))
-    doc = {}
-    if args.out.exists():
-        doc = json.loads(args.out.read_text(encoding="utf-8"))
-    doc.setdefault("workloads", {})[args.workload] = {
-        "pairs": args.pairs, "first_seed": args.first_seed, "seconds": args.seconds,
-        "summary": summary, "runs": runs,
-    }
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

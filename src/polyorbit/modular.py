@@ -16,13 +16,13 @@ that divide the product, since every other prime hits. Each remaining
 prime goes to orbit_mod_p. There a translation x+b reaches 0 mod p at
 m_p = -r/b mod p. Any other u = ax+b with a != 0, 1 mod p has fixed point
 c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p is the discrete log
-of c/(c-r) to base a, found by Pohlig-Hellman over the factors of
-ord_p(a). Only a refuting prime is walked, once, to record its cycle.
+of c/(c-r) to base a, found by one baby-step giant-step over ord_p(a).
+Every other case, a refutation included, takes the one residue walk
+(_walk), which also answers first_refuting_prime for maps of degree >= 2.
 first_refuting_prime builds no certificate. Per prime it answers any map
 of degree <= 1 in closed form (with a = 0 mod p the orbit is r, b, b, ...;
 with a != 0, 1 it asks only whether c/(c-r) lies in the group generated
-by a) and walks any other map once, yes or no, by the loop from which
-orbit_mod_p records its certificates.
+by a, the one subgroup test that lemma1_witnesses shares).
 
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. Sieves and trial
@@ -247,19 +247,18 @@ class LocalReport:
 def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     """The hitting time of 0, or a 0-free cycle, of x -> u(x) mod p from r.
 
-    Coefficients are reduced once up front. Three cases, each settled
-    within p steps:
+    Coefficients are reduced once up front. A hit of a linear map with
+    a != 0 mod p is found with no walk:
 
     * a translation x+b with b != 0 mod p has u^(n)(r) = r + nb, so
-      m_p = -r/b mod p (p when that is 0), from one modular inverse and
-      no walk;
-    * any other u = ax+b with a != 0 mod p permutes Z/pZ, so the orbit is
-      a pure cycle through r. For a != 1, m_p is the discrete log of
-      c/(c-r) to base a, with c = b/(1-a) the fixed point (see
-      _linear_hitting_time); the identity fixes every residue. Only a
-      refutation walks the cycle, once, to record it (tail length 0);
-    * otherwise it takes the residue walk (_walk) that first_refuting_prime
-      shares, and the first index of the repeated residue is the tail length.
+      m_p = -r/b mod p (p when that is 0), from one modular inverse;
+    * any other u = ax+b with a != 1 has m_p the discrete log of c/(c-r)
+      to base a, with c = b/(1-a) the fixed point (see _linear_target).
+
+    Every other case (a refutation, the identity, a = 0 mod p and every
+    map of degree >= 2) takes the residue walk (_walk) that
+    first_refuting_prime shares, and the first index of the repeated
+    residue is the tail length: 0 for a map that permutes Z/pZ.
 
     p is checked prime by the smallest-prime-factor table when it lies
     inside it, by trial division otherwise.
@@ -270,15 +269,13 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
     x = r % p
     if len(reduced) == 2 and reduced[0]:  # u permutes Z/pZ
         a, b = reduced
-        if a != 1:
-            m_p = _linear_hitting_time(a, b, x, p)
-        elif b:
-            m_p = (-x * pow(b, -1, p)) % p or p
-        else:  # the identity
-            m_p = 1 if x == 0 else None
-        if m_p is not None:
-            return PrimeCertificate(p, m_p=m_p)
-        return PrimeCertificate(p, cycle=(0, _linear_cycle(a, b, x, p)))
+        if a == 1:
+            if b:
+                return PrimeCertificate(p, m_p=(-x * pow(b, -1, p)) % p or p)
+        elif (t := _linear_target(a, b, x, p)) is not None:
+            m_p = 1 if t == a else _discrete_log(a, t, p)
+            if m_p is not None:
+                return PrimeCertificate(p, m_p=m_p)
     n, seen = _walk(reduced, x, p)
     if seen is None:
         return PrimeCertificate(p, m_p=n)
@@ -306,17 +303,6 @@ def _walk(reduced: Sequence[int], x: int, p: int) -> tuple[int, dict | None]:
     raise AssertionError("unreachable: pigeonhole guarantees a zero or a repeat")
 
 
-def _linear_cycle(a: int, b: int, x: int, p: int) -> tuple[int, ...]:
-    """The residues of x -> ax+b mod p from x until the walk returns to x
-    (a unit mod p, so the orbit is a pure cycle)."""
-    values = [x]
-    y = (a * x + b) % p
-    while y != x:
-        values.append(y)
-        y = (a * y + b) % p
-    return tuple(values)
-
-
 def _linear_target(a: int, b: int, x: int, p: int) -> int | None:
     """For u = ax+b with a != 0, 1 mod p: the unit t such that the least
     n >= 1 with u^(n)(x) = 0 mod p is the least n >= 1 with a^n = t, or
@@ -334,68 +320,38 @@ def _linear_target(a: int, b: int, x: int, p: int) -> int | None:
     return c * pow(c - x, -1, p) % p
 
 
-def _linear_hitting_time(a: int, b: int, x: int, p: int) -> int | None:
-    """The least n >= 1 with u^(n)(x) = 0 mod p for u = ax+b, a != 0, 1
-    mod p, or None when the orbit misses 0."""
-    t = _linear_target(a, b, x, p)
-    if t is None:
-        return None
-    return 1 if t == a else _discrete_log(a, t, p)
-
-
 def _subgroup_order(a: int, t: int, p: int) -> int | None:
     """ord_p(a) when the unit t lies in the cyclic group that a generates
-    mod the prime p, that is when t^ord_p(a) = 1; None otherwise."""
+    mod the prime p, that is when t^ord_p(a) = 1; None otherwise. When
+    ord_p(a) = p-1 the group is all of (Z/pZ)*, and no power is taken."""
     order = multiplicative_order(a, p)
-    return order if pow(t, order, p) == 1 else None
+    return order if order == p - 1 or pow(t, order, p) == 1 else None
 
 
 def _discrete_log(a: int, t: int, p: int) -> int | None:
     """The least n >= 1 with a^n = t mod p, or None when t is not a power
     of a. t is a unit mod p.
 
-    Pohlig-Hellman: with N = ord_p(a), t is a power of a exactly when
-    t^N = 1. The log mod each prime power q^e dividing N is found one
-    base-q digit at a time, each digit a log in the subgroup of order q,
-    and the parts are joined by the Chinese remainder theorem. A log of 0
-    mod N means n = N."""
+    One baby-step giant-step over N = ord_p(a): the baby steps are a^1 ..
+    a^m with m = isqrt(N-1)+1, so m^2 >= N, and the giant steps divide t by
+    a^m once per step. Giant step i finds n in [im+1, im+m], so the first
+    match is the least n; a log of 0 mod N is found as n = N."""
     order = _subgroup_order(a, t, p)
     if order is None:
         return None
-    n, modulus = 0, 1
-    for q, e in factorize(order).items():
-        qe = q**e
-        g = pow(a, order // qe, p)  # order q^e
-        h = pow(t, order // qe, p)
-        g_q = pow(g, qe // q, p)  # order q
-        g_inv = pow(g, -1, p)
-        x, qk = 0, 1
-        for k in range(e):
-            # (h / g^x)^(q^(e-1-k)) = g_q^digit, the k-th base-q digit
-            y = pow(h * pow(g_inv, x, p) % p, qe // (qk * q), p)
-            x += _log_of_order_q(g_q, y, q, p) * qk
-            qk *= q
-        n += modulus * ((x - n) * pow(modulus, -1, qe) % qe)
-        modulus *= qe
-    return n or order
-
-
-def _log_of_order_q(g: int, y: int, q: int, p: int) -> int:
-    """The d in [0, q) with g^d = y mod p, for g of prime order q and y a
-    power of g, by baby-step giant-step."""
-    m = isqrt(q - 1) + 1  # m^2 >= q
+    m = isqrt(order - 1) + 1
     baby = {}
     acc = 1
-    for j in range(m):
+    for j in range(1, m + 1):
+        acc = acc * a % p
         baby[acc] = j
-        acc = acc * g % p
-    stride = pow(acc, -1, p)  # g^-m
+    stride = pow(acc, -1, p)  # a^-m
     for i in range(m):
-        j = baby.get(y)
+        j = baby.get(t)
         if j is not None:
             return i * m + j
-        y = y * stride % p
-    raise AssertionError(f"{y} is not a power of {g} mod {p}")
+        t = t * stride % p
+    raise AssertionError(f"{t} is not a power of {a} mod {p}")
 
 
 @lru_cache(maxsize=1)  # a harness run certifies every candidate at one (bound, A)
@@ -572,9 +528,10 @@ def lemma1_witnesses(
 
     Per prime this is the subgroup-membership question "is beta/gamma in
     the cyclic group generated by alpha mod p", and it is answered by the
-    order of alpha: beta/gamma lies in that group exactly when
-    (beta/gamma)^ord_p(alpha) = 1 mod p. When ord_p(alpha) = p-1 the group
-    is all of (Z/pZ)*, and no power is taken. No residue walk is needed.
+    subgroup test the residue orbits use (_subgroup_order): beta/gamma lies
+    in that group exactly when (beta/gamma)^ord_p(alpha) = 1 mod p. When
+    ord_p(alpha) = p-1 the group is all of (Z/pZ)*, and no power is taken.
+    No residue walk is needed.
     Requires that neither beta/gamma nor gamma/beta is a nonnegative
     integer power of alpha (otherwise a caller logic error: such witnesses
     cannot exist for almost all primes), and a prime bound of at least 2.
@@ -593,6 +550,5 @@ def lemma1_witnesses(
         p
         for p in primes_up_to(prime_bound)
         if product % p
-        and (order := multiplicative_order(alpha, p)) != p - 1
-        and pow(beta * pow(gamma, -1, p), order, p) != 1
+        and _subgroup_order(alpha, beta * pow(gamma, -1, p), p) is None
     ]

@@ -97,3 +97,71 @@ def test_every_end_to_end_metric_of_the_benchmark_is_summarized():
     summary = bench_pairs.summarize(runs, spec)
     assert list(summary) == names
     assert all(s["pairs"] == 2 for s in summary.values())
+
+
+FAKE_RUN = '''
+import argparse, json, pathlib, sys
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+root = pathlib.Path(__file__).resolve().parent.parent
+count = root / "runs.txt"
+n = int(count.read_text()) + 1 if count.exists() else 1
+count.write_text(str(n))
+if n == {fail_at}:
+    print("Traceback (most recent call last):", file=sys.stderr)
+    print("RuntimeError: run " + str(n) + " broke", file=sys.stderr)
+    sys.exit(1)
+out = root / ".bench_out"
+out.mkdir(exist_ok=True)
+(out / f"{{args.workload}}-seed{{args.seed}}-trace0.json").write_text(
+    json.dumps({{"provenance": {{"run": n}}}}))
+metrics = {{name: {{"value": float(n)}} for name in {names!r}}}
+print(json.dumps({{"correct": 1, "attempted": 1, "failed": 0, "metrics": metrics}}))
+'''
+
+
+def fake_tree(root, fail_at):
+    """A checkout whose perfbench/run.py counts its runs in runs.txt, exits 1
+    with a traceback on run fail_at and otherwise prints a result whose every
+    metric reads the run number."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        FAKE_RUN.format(fail_at=fail_at, names=names), encoding="utf-8")
+    return root
+
+
+def test_a_failed_run_is_recorded_and_earlier_runs_kept(tmp_path, capsys):
+    tree = fake_tree(tmp_path / "tree", 2)
+    out = tmp_path / "BENCH.json"
+    status = bench_pairs.main(["--parent", str(tree), "--change", str(tree),
+                               "--workload", "w", "--pairs", "3", "--first-seed", "7",
+                               "--seconds", "1", "--out", str(out)])
+    assert status == 1
+    runs = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]["runs"]
+    assert [(r["pair"], r["side"]) for r in runs] == [(0, "parent"), (0, "change")]
+    assert runs[0]["provenance"] == {"run": 1} and "exit_code" not in runs[0]
+    assert runs[1]["exit_code"] == 1
+    assert runs[1]["stderr_tail"][-1] == "RuntimeError: run 2 broke"
+    err = capsys.readouterr().err
+    assert "pair 0 seed 7 change: exit code 1" in err
+    assert "RuntimeError: run 2 broke" in err
+
+
+def test_pairs_alternate_and_other_workloads_are_kept(tmp_path):
+    tree = fake_tree(tmp_path / "tree", 0)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"workloads": {"other": {"runs": []}}}), encoding="utf-8")
+    assert bench_pairs.main(["--parent", str(tree), "--change", str(tree),
+                             "--workload", "w", "--pairs", "2", "--first-seed", "7",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc["workloads"]) == {"other", "w"}
+    runs = doc["workloads"]["w"]["runs"]
+    # pair 1 runs the change first
+    assert [(r["pair"], r["side"], r["seed"]) for r in runs] == [
+        (0, "parent", 7), (0, "change", 7), (1, "change", 8), (1, "parent", 8)]
+    assert doc["workloads"]["w"]["summary"]["job_s"]["pairs"] == 2

@@ -23,8 +23,8 @@ from polyorbit import (
 )
 from polyorbit.modular import PRIME_BOUND_MAX
 
-# p = 2q+1 with q prime: a log in the subgroup of order q takes baby-step
-# giant-step about sqrt(q) steps each way.
+# p = 2q+1 with q prime: every unit other than +-1 has order q or 2q, so
+# baby-step giant-step takes about sqrt(q) steps each way.
 SAFE_PRIMES = (1019, 2027, 4079)
 
 
@@ -77,23 +77,6 @@ class TestDiscreteLogMatchesPlainWalk:
             cert = orbit_mod_p(linear(a, b), r, p)
             assert (cert.m_p, cert.cycle) == plain_walk(a, b, r, p), (a, b, r)
 
-    @pytest.mark.parametrize("p", SAFE_PRIMES)
-    def test_safe_primes_solve_in_the_subgroup_of_order_q(self, p, monkeypatch):
-        orders = []
-        log = modular._log_of_order_q
-
-        def recording(g, y, q, p):
-            orders.append(q)
-            return log(g, y, q, p)
-
-        monkeypatch.setattr(modular, "_log_of_order_q", recording)
-        q = (p - 1) // 2
-        for a in (2, 3, 5, p - 2):
-            for r in (1, 2, p - 1):
-                cert = orbit_mod_p(linear(a, 1), r, p)
-                assert (cert.m_p, cert.cycle) == plain_walk(a, 1, r, p)
-        assert q in orders
-
     def test_prime_beyond_the_table(self):
         p = 10**7 + 19  # prime, and past PRIME_BOUND_MAX, so past the table
         assert p >= len(modular._spf)
@@ -101,6 +84,57 @@ class TestDiscreteLogMatchesPlainWalk:
         m_p = orbit_mod_p(linear(a, b), r, p).m_p
         c = b * pow(1 - a, -1, p) % p
         assert (pow(a, m_p, p) * (r - c) + c) % p == 0  # u^(m_p)(r) = 0
+
+
+def powers_of(a, p):
+    """Each power of a mod p over one period, mapped to its least n >= 1."""
+    first, x, n = {}, a % p, 1
+    while x not in first:
+        first[x] = n
+        x, n = x * a % p, n + 1
+    return first
+
+
+class TestOneDiscreteLog:
+    @pytest.mark.parametrize("p", primes_up_to(61))
+    def test_every_unit_and_target_by_brute_force(self, p):
+        for a in range(2, p):
+            first = powers_of(a, p)
+            for t in range(1, p):
+                assert modular._discrete_log(a, t, p) == first.get(t), (a, t)
+
+    @pytest.mark.parametrize("p", primes_up_to(61))
+    def test_subgroup_order_is_membership_in_the_enumerated_group(self, p):
+        for a in range(1, p):
+            group = powers_of(a, p)
+            for t in range(1, p):
+                order = modular._subgroup_order(a, t, p)
+                assert order == (len(group) if t in group else None), (a, t)
+
+    @pytest.mark.parametrize("p", SAFE_PRIMES)
+    def test_seeded_at_safe_primes(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            a = rng.randrange(2, p)
+            first = powers_of(a, p)
+            for t in (rng.randrange(1, p), pow(a, rng.randrange(p), p), 1, a):
+                assert modular._discrete_log(a, t, p) == first.get(t), (a, t)
+
+    def test_seeded_beyond_the_table(self):
+        p = 10**7 + 19
+        rng = random.Random(p)
+        for _ in range(8):
+            a = rng.randrange(2, p)
+            order = modular.multiplicative_order(a, p)
+            k = rng.randrange(1, 3 * p)
+            n = modular._discrete_log(a, pow(a, k, p), p)
+            assert n == (k - 1) % order + 1
+            # a square generates no non-square (Euler's criterion)
+            square = a * a % p
+            t = rng.randrange(2, p)
+            while pow(t, (p - 1) // 2, p) != p - 1:
+                t = rng.randrange(2, p)
+            assert modular._discrete_log(square, t, p) is None
 
 
 class TestPrimalityGuard:
@@ -181,23 +215,27 @@ class TestReports:
         assert oracles.check_local_report(u.coeffs, r, set(A), bound, certs,
                                           report.refuted_at, True) == []
 
-    @pytest.mark.parametrize("text,r,bound,walks", [
-        ("4x-2", 1, 100, 1),  # refuted at 5
-        ("6x-6", 7, 3000, 1),  # refuted at 23, after hits at the 8 primes below
-        ("2x+6", 6, 3000, 0),  # a member: no prime refutes
+    # The primes dividing a below the stop are walked (a = 0 mod p), and so
+    # is the refuting prime; every other prime is answered in closed form.
+    @pytest.mark.parametrize("text,r,bound,walked,refuted_at", [
+        pytest.param("4x-2", 1, 100, [2, 5], 5, id="4x-2-1-100-1"),
+        # refuted at 23, after hits at the 8 primes below
+        pytest.param("6x-6", 7, 3000, [2, 3, 23], 23, id="6x-6-7-3000-1"),
+        pytest.param("2x+6", 6, 3000, [2], None, id="2x+6-6-3000-0"),  # a member
     ])
-    def test_a_report_walks_at_most_once(self, monkeypatch, text, r, bound, walks):
-        cycles = []
-        walk = modular._linear_cycle
+    def test_a_report_walks_at_most_once(self, monkeypatch, text, r, bound, walked,
+                                         refuted_at):
+        primes = []
+        walk = modular._walk
 
-        def recording(*args):
-            cycles.append(args)
-            return walk(*args)
+        def recording(reduced, x, p):
+            primes.append(p)
+            return walk(reduced, x, p)
 
-        monkeypatch.setattr(modular, "_linear_cycle", recording)
+        monkeypatch.setattr(modular, "_walk", recording)
         report = certify_local(parse_poly(text), r, None, bound)
-        assert len(cycles) == walks
-        assert report.consistent == (walks == 0)
+        assert primes == walked
+        assert report.refuted_at == refuted_at
 
 
 def hitting_time(a, b, r, p):
@@ -297,6 +335,34 @@ class TestExponentCertificates:
         assert [cert.m_p for cert in report.certificates] == walked[
             :len(report.certificates)]
         assert first_refuting_prime(u, r, None, 1000) == report.refuted_at
+
+
+class TestAdversarialExcludedSet:
+    def test_hits_are_logs_and_only_the_refuting_prime_is_walked(self, monkeypatch):
+        """3x+7 at r = 5 with A = its refuting primes below 2000: certifying
+        to 3000 finds every hit by one discrete log (about sqrt(p) steps)
+        and walks (about p steps) only the prime that refutes."""
+        a, b, r = 3, 7, 5
+        A = [p for p in primes_up_to(2000) if hitting_time(a, b, r, p) is None]
+        walked, logged = [], []
+        walk, log = modular._walk, modular._discrete_log
+
+        def walk_recording(reduced, x, p):
+            walked.append(p)
+            return walk(reduced, x, p)
+
+        def log_recording(a, t, p):
+            logged.append(p)
+            return log(a, t, p)
+
+        monkeypatch.setattr(modular, "_walk", walk_recording)
+        monkeypatch.setattr(modular, "_discrete_log", log_recording)
+        report = certify_local(linear(a, b), r, A, 3000)
+        assert len(A) > 100 and report.refuted_at > 2000
+        assert walked == [report.refuted_at]
+        hits = [c.p for c in report.certificates if c.hit]
+        # 2 takes the translation x+1; u(5) = 22 = 0 mod 11 takes m_p = 1.
+        assert sorted(set(hits) - set(logged)) == [2, 11]
 
 
 class TestNoDiscreteLogForAnExponent:
