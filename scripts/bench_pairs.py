@@ -13,8 +13,12 @@ Every run's last stdout line (the JSON result) and its
 .bench_out/<workload>-seed<N>-trace0.json record (provenance, commit) are
 kept. The summary gives, per end-to-end metric of BENCHMARK.json: both
 medians with quartiles, the pairs the change wins (a tie counts for
-neither side), the median gap against the parent's quartile spread, and
-whether the change stays inside the metric's bound. Runs and summary are
+neither side), the median gap against the parent's quartile spread,
+whether the change stays inside the metric's bound, and whether the metric
+is unresolved: the parent's quartile spread, relative to its median, wider
+than the bound, with some run of the change not better than every run of
+the parent. It also totals each side's failed and attempted operations and
+flags a change whose failed share is the larger. Runs and summary are
 written to --out under the workload's name after every run; the other
 workloads of an existing --out file are kept, so one file holds several
 workloads. A run that exits non-zero is recorded with its exit code and
@@ -65,6 +69,8 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         c_q1, c_med, c_q3 = quartiles(change)
         gap = (p_med - c_med) if lower else (c_med - p_med)  # > 0: change better
         worse_by = -gap / p_med if p_med else 0.0
+        spread_ratio = (p_q3 - p_q1) / p_med if p_med else 0.0
+        clear = max(change) < min(parent) if lower else min(change) > max(parent)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -79,12 +85,30 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             "relative_change": (c_med - p_med) / p_med if p_med else 0.0,
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"],
+            "unresolved": spread_ratio > metric["bound"] and not clear,
         }
     return out
 
 
-def format_summary(workload: str, summary: dict) -> list[str]:
-    lines = [f"# {workload}"]
+def failure_totals(runs: list[dict]) -> dict:
+    """Each side's failed and attempted operations summed over its finished
+    runs, and whether the change's failed share exceeds the parent's."""
+    out = {side: {"failed": 0, "attempted": 0} for side in ("parent", "change")}
+    for run in runs:
+        if "failed" in run:
+            out[run["side"]]["failed"] += run["failed"]
+            out[run["side"]]["attempted"] += run["attempted"]
+    p, c = out["parent"], out["change"]
+    out["change_fails_more"] = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    return out
+
+
+def format_summary(workload: str, summary: dict, failures: dict) -> list[str]:
+    p, c = failures["parent"], failures["change"]
+    lines = [f"# {workload}",
+             f"failed             parent {p['failed']}/{p['attempted']}"
+             f"  change {c['failed']}/{c['attempted']}"
+             f"{'  CHANGE FAILS MORE' if failures['change_fails_more'] else ''}"]
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
         lines.append(
@@ -92,7 +116,8 @@ def format_summary(workload: str, summary: dict) -> list[str]:
             f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {s['unit']}"
             f"  {s['relative_change']:+.1%}  wins {s['change_wins']}/{s['pairs']}"
             f"  gap {s['median_gap']:.4g} vs spread {s['parent_spread']:.4g}"
-            f"  {'within' if s['within_bound'] else 'OUTSIDE'} bound {s['bound']}")
+            f"  {'within' if s['within_bound'] else 'OUTSIDE'} bound {s['bound']}"
+            f"{'  unresolved' if s['unresolved'] else ''}")
     return lines
 
 
@@ -111,19 +136,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"result": result, "provenance": record["provenance"]}
 
 
-def write_out(args: argparse.Namespace, spec: dict, runs: list[dict]) -> dict:
-    """Write the runs so far, and the summary of those that finished, to
-    --out under the workload's name; return that summary."""
+def write_out(args: argparse.Namespace, spec: dict,
+              runs: list[dict]) -> tuple[dict, dict]:
+    """Write the runs so far, and the summary and failure totals of those
+    that finished, to --out under the workload's name; return both."""
     summary = summarize([run for run in runs if "metrics" in run], spec)
+    failures = failure_totals(runs)
     doc = {}
     if args.out.exists():
         doc = json.loads(args.out.read_text(encoding="utf-8"))
     doc.setdefault("workloads", {})[args.workload] = {
         "pairs": args.pairs, "first_seed": args.first_seed, "seconds": args.seconds,
-        "summary": summary, "runs": runs,
+        "summary": summary, "failures": failures, "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return summary
+    return summary, failures
 
 
 def main(argv=None) -> int:
@@ -138,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs, summary = [], {}
+    runs, summary, failures = [], {}, failure_totals([])
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -156,10 +183,10 @@ def main(argv=None) -> int:
                          "failed": got["result"]["failed"],
                          "attempted": got["result"]["attempted"],
                          "provenance": got["provenance"]})
-            summary = write_out(args, spec, runs)
+            summary, failures = write_out(args, spec, runs)
             print(f"pair {i} seed {seed} {side}: failed {got['result']['failed']}",
                   file=sys.stderr, flush=True)
-    print("\n".join(format_summary(args.workload, summary)))
+    print("\n".join(format_summary(args.workload, summary, failures)))
     return 0
 
 

@@ -1,10 +1,11 @@
 """Residue-orbit machinery mod p: hitting-time certificates, whole-range
 certification of local nilpotency, and the cyclic-subgroup witness search.
 
-One smallest-prime-factor table serves the whole module: it lists the
-primes, certifies that a sieved p is prime, and factors every p-1 by
-lookup. It grows to the largest prime bound asked for, never past
-PRIME_BOUND_MAX, and never shrinks.
+One smallest-prime-factor table serves the whole module: it certifies
+that a sieved p is prime and factors every p-1 by lookup, and its
+ascending prime list, rebuilt with it, is the one list that every prime
+range is sliced from. The table grows to the largest prime bound asked
+for, never past PRIME_BOUND_MAX, and never shrinks.
 
 Linear maps are answered without walking to the hit. Write beta = b and
 gamma = r(a-1)+b for u = ax+b at r, so that u^(n)(r) = (gamma a^n -
@@ -14,27 +15,27 @@ a(a-1)beta gamma from that one exponent: m_p = -e mod ord_p(a), or
 ord_p(a) when that is 0, and first_refuting_prime tests only the primes
 that divide the product, since every other prime hits. Each remaining
 prime goes to orbit_mod_p. There a translation x+b reaches 0 mod p at
-m_p = -r/b mod p. Any other u = ax+b with a != 0, 1 mod p has fixed point
-c = b/(1-a) and u^(n)(r) - c = a^n (r - c), so m_p is the discrete log
-of c/(c-r) to base a, found by one baby-step giant-step over ord_p(a).
-Every other case, a refutation included, takes the one residue walk
-(_walk), which also answers first_refuting_prime for maps of degree >= 2.
-first_refuting_prime builds no certificate. Per prime it answers any map
-of degree <= 1 in closed form (with a = 0 mod p the orbit is r, b, b, ...;
-with a != 0, 1 it asks only whether c/(c-r) lies in the group generated
-by a, the one subgroup test that lemma1_witnesses shares).
+m_p = -r/b mod p, and any other ax+b with a != 0, 1 mod p and beta, gamma
+units at the least n >= 1 with a^n = beta/gamma: one baby-step
+giant-step over ord_p(a). Every other case, a refutation included, takes
+the one residue walk (_walk). first_refuting_prime builds no certificate:
+it walks maps of degree >= 2 and answers the rest in closed form, asking
+only whether beta/gamma lies in the group generated by a, the one
+subgroup test that lemma1_witnesses shares.
 
 Primality is decided by sieve / trial division only; certificates must be
-unconditional, so probabilistic tests are off the table. Sieves and trial
-divisors stop at PRIME_BOUND_MAX.
+unconditional, so probabilistic tests are off the table. One divisor loop
+(_least_factor) serves is_prime and factorize; it stops at PRIME_BOUND_MAX.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 from math import isqrt
+from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 from .orbits import BudgetExceededError
@@ -45,34 +46,38 @@ PRIME_BOUND_MAX = 10**7
 # For n < len(_spf): _spf[n] is the smallest prime factor of a composite n,
 # 0 for a prime n and 1 for n < 2. A composite n <= PRIME_BOUND_MAX has a
 # factor <= isqrt(PRIME_BOUND_MAX) = 3162, so two bytes an entry suffice.
+# _primes: the primes below len(_spf), ascending. _table rebinds both at once.
 _spf = array("H", (1, 1))
+_primes = array("I")
 
 
-def _trial_division_exhausted(n: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"trial division of {n} would pass the divisor budget of {PRIME_BOUND_MAX}"
-    )
+def _least_factor(n: int, f: int = 2) -> int:
+    """The least prime factor of n >= 2 that is at least f, n itself when n
+    is prime; n has no prime factor below f. Divisors stop at
+    PRIME_BOUND_MAX: a search that would pass it before reaching the
+    square root of n raises BudgetExceededError."""
+    if n % 2 == 0:
+        return 2
+    f = max(f, 3)
+    top = PRIME_BOUND_MAX * PRIME_BOUND_MAX  # no divisor above PRIME_BOUND_MAX is tried
+    if n < top:
+        top = n
+    while f * f <= top:
+        if n % f == 0:
+            return f
+        f += 2
+    if f * f <= n:
+        raise BudgetExceededError(
+            f"trial division of {n} would pass the divisor budget of {PRIME_BOUND_MAX}"
+        )
+    return n
 
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check. Divisors stop at
     PRIME_BOUND_MAX: a number with no divisor up to there whose square
     root is larger raises BudgetExceededError."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    top = PRIME_BOUND_MAX * PRIME_BOUND_MAX  # no divisor above PRIME_BOUND_MAX is tried
-    if n < top:
-        top = n
-    f = 3
-    while f * f <= top:
-        if n % f == 0:
-            return False
-        f += 2
-    if f * f <= n:
-        raise _trial_division_exhausted(n)
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 def check_prime_bound(bound: int) -> None:
@@ -86,67 +91,58 @@ def check_prime_bound(bound: int) -> None:
 
 
 def _table(bound: int) -> array:
-    """The smallest-prime-factor table, first grown to cover bound if it
-    is shorter. Callers check bound against PRIME_BOUND_MAX first."""
-    global _spf
+    """The ascending primes of the smallest-prime-factor table, the table
+    first grown to cover bound if it is shorter, and its prime list rebuilt
+    with it. Callers check bound against PRIME_BOUND_MAX first."""
+    global _spf, _primes
     if bound >= len(_spf):
         root = isqrt(bound)
         small = _table(root)
         spf = array("H", (0,)) * (bound + 1)
         spf[0] = spf[1] = 1
         # Descending, so that the smallest prime factor is written last.
-        for q in range(root, 1, -1):
-            if not small[q]:
-                spf[q * q :: q] = array("H", (q,)) * ((bound - q * q) // q + 1)
-        _spf = spf
-    return _spf
+        for q in reversed(small[: bisect_right(small, root)]):
+            spf[q * q :: q] = array("H", (q,)) * ((bound - q * q) // q + 1)
+        _spf, _primes = spf, array("I", compress(range(bound + 1), map(not_, spf)))
+    return _primes
+
+
+def _primes_outside(bound: int, excluded: Sequence[int]) -> Sequence[int]:
+    """The primes up to bound not in excluded, ascending: a slice of the
+    table's prime list, filtered only when excluded is nonempty."""
+    primes = _table(bound)
+    primes = primes[: bisect_right(primes, bound)]
+    if excluded:
+        skip = set(excluded)
+        return [p for p in primes if p not in skip]
+    return primes
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending, read from the smallest-prime-factor
-    table. A bound above PRIME_BOUND_MAX raises BudgetExceededError before
-    any allocation."""
+    """All primes <= bound, ascending, a fresh list sliced from the table's
+    prime list. A bound above PRIME_BOUND_MAX raises BudgetExceededError
+    before any allocation."""
     if bound < 2:
         return []
     check_prime_bound(bound)
-    spf = _table(bound)
-    return [n for n in range(2, bound + 1) if not spf[n]]
+    return _primes_outside(bound, ()).tolist()
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n|, ascending: by lookup in the
-    smallest-prime-factor table when |n| lies inside it, by trial division
-    otherwise. Trial divisors stop at PRIME_BOUND_MAX, as in is_prime."""
+    """Prime factorization of |n|, ascending: each factor read from the
+    smallest-prime-factor table while the cofactor lies inside it, found by
+    trial division (_least_factor) from the last factor otherwise. Trial
+    divisors stop at PRIME_BOUND_MAX, as in is_prime."""
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
     out: dict[int, int] = {}
     spf = _spf
-    if n < len(spf):
-        while n > 1:
-            q = spf[n] or n
-            out[q] = out.get(q, 0) + 1
-            n //= q
-        return out
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    top = PRIME_BOUND_MAX * PRIME_BOUND_MAX  # as in is_prime, lowered as n shrinks
-    if n < top:
-        top = n
-    f = 5
-    while f * f <= top:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-            if n < top:
-                top = n
-        f += 2
-    if f * f <= n:
-        raise _trial_division_exhausted(n)
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    q = 2
+    while n > 1:
+        q = (spf[n] or n) if n < len(spf) else _least_factor(n, q)
+        out[q] = out.get(q, 0) + 1
+        n //= q
     return out
 
 
@@ -252,8 +248,9 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
 
     * a translation x+b with b != 0 mod p has u^(n)(r) = r + nb, so
       m_p = -r/b mod p (p when that is 0), from one modular inverse;
-    * any other u = ax+b with a != 1 has m_p the discrete log of c/(c-r)
-      to base a, with c = b/(1-a) the fixed point (see _linear_target).
+    * any other u = ax+b with a != 1 hits at step 1 when b = a gamma, for
+      gamma = r(a-1)+b; otherwise, when b and gamma are units, m_p is the
+      discrete log of the target b/gamma to base a (see the module doc).
 
     Every other case (a refutation, the identity, a = 0 mod p and every
     map of degree >= 2) takes the residue walk (_walk) that
@@ -272,9 +269,11 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
         if a == 1:
             if b:
                 return PrimeCertificate(p, m_p=(-x * pow(b, -1, p)) % p or p)
-        elif (t := _linear_target(a, b, x, p)) is not None:
-            m_p = 1 if t == a else _discrete_log(a, t, p)
-            if m_p is not None:
+        else:
+            gamma = (x * (a - 1) + b) % p
+            if b == a * gamma % p:  # u(x) = 0
+                return PrimeCertificate(p, m_p=1)
+            if b and gamma and (m_p := _discrete_log(a, b, gamma, p)) is not None:
                 return PrimeCertificate(p, m_p=m_p)
     n, seen = _walk(reduced, x, p)
     if seen is None:
@@ -303,42 +302,30 @@ def _walk(reduced: Sequence[int], x: int, p: int) -> tuple[int, dict | None]:
     raise AssertionError("unreachable: pigeonhole guarantees a zero or a repeat")
 
 
-def _linear_target(a: int, b: int, x: int, p: int) -> int | None:
-    """For u = ax+b with a != 0, 1 mod p: the unit t such that the least
-    n >= 1 with u^(n)(x) = 0 mod p is the least n >= 1 with a^n = t, or
-    None when the orbit misses 0.
-
-    With c = b/(1-a), u^(n)(x) - c = a^n (x - c). If x = c the orbit is
-    constant: it is 0 from step 1 when c = 0, which t = a gives. Otherwise
-    u^(n)(x) = 0 exactly when a^n = c/(c-x), which has no solution when
-    c = 0."""
-    c = b * pow(1 - a, -1, p) % p
-    if x == c:
-        return a if c == 0 else None
-    if c == 0:
-        return None
-    return c * pow(c - x, -1, p) % p
-
-
-def _subgroup_order(a: int, t: int, p: int) -> int | None:
-    """ord_p(a) when the unit t lies in the cyclic group that a generates
-    mod the prime p, that is when t^ord_p(a) = 1; None otherwise. When
-    ord_p(a) = p-1 the group is all of (Z/pZ)*, and no power is taken."""
+def _subgroup_order(a: int, beta: int, gamma: int, p: int) -> int | None:
+    """ord_p(a) when the unit beta/gamma lies in the cyclic group that a
+    generates mod the prime p, that is when (beta/gamma)^ord_p(a) = 1;
+    None otherwise. When ord_p(a) = p-1 the group is all of (Z/pZ)*, and
+    neither an inverse nor a power is taken."""
     order = multiplicative_order(a, p)
-    return order if order == p - 1 or pow(t, order, p) == 1 else None
+    if order == p - 1 or pow(beta * pow(gamma, -1, p), order, p) == 1:
+        return order
+    return None
 
 
-def _discrete_log(a: int, t: int, p: int) -> int | None:
-    """The least n >= 1 with a^n = t mod p, or None when t is not a power
-    of a. t is a unit mod p.
+def _discrete_log(a: int, beta: int, gamma: int, p: int) -> int | None:
+    """The least n >= 1 with a^n = beta/gamma mod p, or None when that
+    target is not a power of a. beta and gamma are units mod p.
 
-    One baby-step giant-step over N = ord_p(a): the baby steps are a^1 ..
-    a^m with m = isqrt(N-1)+1, so m^2 >= N, and the giant steps divide t by
-    a^m once per step. Giant step i finds n in [im+1, im+m], so the first
-    match is the least n; a log of 0 mod N is found as n = N."""
-    order = _subgroup_order(a, t, p)
+    One baby-step giant-step over N = ord_p(a), once _subgroup_order puts
+    the target t in the group: the baby steps are a^1 .. a^m with m =
+    isqrt(N-1)+1, so m^2 >= N, and the giant steps divide t by a^m once per
+    step. Giant step i finds n in [im+1, im+m], so the first match is the
+    least n; a log of 0 mod N is found as n = N."""
+    order = _subgroup_order(a, beta, gamma, p)
     if order is None:
         return None
+    t = beta * pow(gamma, -1, p) % p
     m = isqrt(order - 1) + 1
     baby = {}
     acc = 1
@@ -352,14 +339,6 @@ def _discrete_log(a: int, t: int, p: int) -> int | None:
             return i * m + j
         t = t * stride % p
     raise AssertionError(f"{t} is not a power of {a} mod {p}")
-
-
-@lru_cache(maxsize=1)  # a harness run certifies every candidate at one (bound, A)
-def _primes_outside(bound: int, excluded: tuple[int, ...]) -> tuple[int, ...]:
-    """The primes up to bound not in excluded, a PrimeSet's primes: the
-    cache is keyed on that tuple, hashed in C, not on the PrimeSet."""
-    skip = set(excluded)
-    return tuple(p for p in primes_up_to(bound) if p not in skip)
 
 
 def _linear_exponent(u: Polynomial, r: int) -> int | None:
@@ -451,10 +430,10 @@ def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
     orbit_mod_p(u, r, p).hit, with no certificate built. Any ax+b is
     answered in closed form: for a = 0 mod p (constants and the zero map
     too) the orbit is r, b, b, ..., a hit exactly when b = 0; x+b hits
-    exactly when b != 0 or r = 0; any other map exactly when its target
-    (see _linear_target) is a power of a. Higher degrees take _walk over
-    coefficients reduced mod p once per prime, so that no step multiplies
-    big integers."""
+    exactly when b != 0 or r = 0; any other map, with gamma = r(a-1)+b,
+    exactly when b = gamma = 0 or the target b/gamma is a power of a.
+    Higher degrees take _walk over coefficients reduced mod p once per
+    prime, so that no step multiplies big integers."""
     coeffs = u.coeffs
     if len(coeffs) > 2:
         return _walk([c % p for c in reversed(coeffs)], r % p, p)[1] is None
@@ -466,8 +445,10 @@ def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
         return b == 0
     if a == 1:
         return b != 0 or r % p == 0
-    t = _linear_target(a, b, r % p, p)
-    return t is not None and _subgroup_order(a, t, p) is not None
+    gamma = (r % p * (a - 1) + b) % p
+    if not (b and gamma):  # gamma = 0: r is fixed, a hit iff b = 0; else a miss
+        return b == gamma
+    return _subgroup_order(a, b, gamma, p) is not None
 
 
 def is_integer_power(base: int, target: int) -> int | None:
@@ -530,8 +511,9 @@ def lemma1_witnesses(
     the cyclic group generated by alpha mod p", and it is answered by the
     subgroup test the residue orbits use (_subgroup_order): beta/gamma lies
     in that group exactly when (beta/gamma)^ord_p(alpha) = 1 mod p. When
-    ord_p(alpha) = p-1 the group is all of (Z/pZ)*, and no power is taken.
-    No residue walk is needed.
+    ord_p(alpha) = p-1 the group is all of (Z/pZ)*, and neither an inverse
+    nor a power is taken. No residue walk is needed, and the primes are a
+    slice of the table's prime list.
     Requires that neither beta/gamma nor gamma/beta is a nonnegative
     integer power of alpha (otherwise a caller logic error: such witnesses
     cannot exist for almost all primes), and a prime bound of at least 2.
@@ -548,7 +530,6 @@ def lemma1_witnesses(
     product = alpha * beta * gamma
     return [
         p
-        for p in primes_up_to(prime_bound)
-        if product % p
-        and _subgroup_order(alpha, beta * pow(gamma, -1, p), p) is None
+        for p in _primes_outside(prime_bound, ())
+        if product % p and _subgroup_order(alpha, beta, gamma, p) is None
     ]

@@ -383,15 +383,14 @@ def generate_list_members(
     if not item:
         if not items:
             raise ValueError(f"unknown catalog family {theorem_id!r}")
-        members: list[Polynomial] = []
-        for ident in items:
+        return list(dict.fromkeys(  # first occurrence of each member, in order
+            u
+            for ident in items
             for u in generate_list_members(
                 ident, A=A, r=r, exponent_sum=exponent_sum,
                 exponent_cap=exponent_cap, coeff_bound=coeff_bound,
-            ):
-                if u not in members:
-                    members.append(u)
-        return members
+            )
+        ))
     if theorem_id not in items:
         raise ValueError(f"unknown catalog item {theorem_id!r}")
 

@@ -11,10 +11,10 @@ import polyorbit.modular as modular
 @pytest.fixture(autouse=True)
 def fresh_prime_table(monkeypatch):
     """Start every test from the module's initial smallest-prime-factor
-    table, with no cached prime list, so that no test reads a table grown
+    table and its empty prime list, so that no test reads a table grown
     by another (or under another PRIME_BOUND_MAX)."""
     monkeypatch.setattr(modular, "_spf", array("H", (1, 1)))
-    modular._primes_outside.cache_clear()
+    monkeypatch.setattr(modular, "_primes", array("I"))
 
 
 @pytest.fixture

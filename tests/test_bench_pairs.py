@@ -80,6 +80,51 @@ def test_bound_on_a_higher_is_better_metric(change_tp, within):
     assert s["median_gap"] == pytest.approx(change_tp - 100.0)
 
 
+@pytest.mark.parametrize("parent_job, change_job, unresolved", [
+    ([0.8, 1.0, 1.2, 1.4, 1.6], [1.0, 1.1, 1.2, 1.3, 1.4], True),  # spread 0.4/1.2
+    ([0.8, 1.0, 1.2, 1.4, 1.6], [0.5, 0.6, 0.7, 0.7, 0.75], False),  # every run better
+    ([0.8, 1.0, 1.2, 1.4, 1.6], [0.5, 0.6, 0.7, 0.7, 0.8], True),  # one run ties
+    ([1.0, 1.1, 1.2, 1.3, 1.4], [1.6, 1.6, 1.6, 1.6, 1.6], False),  # spread 0.2/1.2
+])
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(parent_job,
+                                                                 change_job,
+                                                                 unresolved):
+    s = summary_of(parent_job, change_job)["job_s"]
+    assert s["unresolved"] is unresolved
+    assert ("unresolved" in bench_pairs.format_summary(
+        "w", {"job_s": s}, bench_pairs.failure_totals([]))[2]) is unresolved
+
+
+def test_unresolved_on_a_higher_is_better_metric():
+    parent_tp, change_tp = [60.0, 80.0, 100.0, 120.0, 140.0], [150.0] * 5
+    s = summary_of([1.0] * 5, [1.0] * 5, parent_tp, change_tp)["throughput_per_s"]
+    assert not s["unresolved"]
+    s = summary_of([1.0] * 5, [1.0] * 5, parent_tp, [150.0] * 4 + [140.0])
+    assert s["throughput_per_s"]["unresolved"]
+
+
+@pytest.mark.parametrize("parent, change, fails_more", [
+    ([(0, 100), (0, 100)], [(0, 100), (0, 100)], False),
+    ([(0, 100), (0, 100)], [(1, 300), (0, 300)], True),
+    ([(2, 100), (0, 100)], [(1, 100), (1, 100)], False),  # equal shares
+    ([(1, 100), (0, 100)], [(1, 400), (1, 400)], False),  # 2/800 < 1/200
+])
+def test_failure_totals_compare_failed_shares(parent, change, fails_more):
+    runs = [{"pair": i, "side": side, "failed": f, "attempted": a}
+            for side, counts in (("parent", parent), ("change", change))
+            for i, (f, a) in enumerate(counts)]
+    runs.append({"pair": 2, "side": "change", "exit_code": 1, "stderr_tail": []})
+    totals = bench_pairs.failure_totals(runs)
+    assert totals["parent"] == {"failed": sum(f for f, _ in parent),
+                                "attempted": sum(a for _, a in parent)}
+    assert totals["change"] == {"failed": sum(f for f, _ in change),
+                                "attempted": sum(a for _, a in change)}
+    assert totals["change_fails_more"] is fails_more
+    line = bench_pairs.format_summary("w", {}, totals)[1]
+    assert line.startswith("failed") and f"change {totals['change']['failed']}/" in line
+    assert ("CHANGE FAILS MORE" in line) is fails_more
+
+
 def test_a_pair_with_one_side_is_left_out():
     runs = synthetic_runs({"job_s": [1.0, 1.0], "throughput_per_s": [1.0, 1.0]},
                           {"job_s": [0.5, 0.5], "throughput_per_s": [2.0, 2.0]})
@@ -165,3 +210,16 @@ def test_pairs_alternate_and_other_workloads_are_kept(tmp_path):
     assert [(r["pair"], r["side"], r["seed"]) for r in runs] == [
         (0, "parent", 7), (0, "change", 7), (1, "change", 8), (1, "parent", 8)]
     assert doc["workloads"]["w"]["summary"]["job_s"]["pairs"] == 2
+
+
+def test_failure_totals_are_written_and_printed(tmp_path, capsys):
+    tree = fake_tree(tmp_path / "tree", 0)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tree), "--change", str(tree),
+                             "--workload", "w", "--pairs", "2", "--first-seed", "7",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["workloads"]["w"]["failures"] == {
+        "parent": {"failed": 0, "attempted": 2}, "change": {"failed": 0, "attempted": 2},
+        "change_fails_more": False}
+    assert "failed             parent 0/2  change 0/2\n" in capsys.readouterr().out

@@ -4,6 +4,8 @@ exponent, checked against trial division, plain walks and the benchmark's
 independent oracle."""
 
 import random
+import re
+from array import array
 
 import oracles
 import pytest
@@ -16,6 +18,8 @@ from polyorbit import (
     factorize,
     first_refuting_prime,
     generate_list_members,
+    is_prime,
+    lemma1_witnesses,
     linear,
     orbit_mod_p,
     parse_poly,
@@ -101,14 +105,14 @@ class TestOneDiscreteLog:
         for a in range(2, p):
             first = powers_of(a, p)
             for t in range(1, p):
-                assert modular._discrete_log(a, t, p) == first.get(t), (a, t)
+                assert modular._discrete_log(a, t, 1, p) == first.get(t), (a, t)
 
     @pytest.mark.parametrize("p", primes_up_to(61))
     def test_subgroup_order_is_membership_in_the_enumerated_group(self, p):
         for a in range(1, p):
             group = powers_of(a, p)
             for t in range(1, p):
-                order = modular._subgroup_order(a, t, p)
+                order = modular._subgroup_order(a, t, 1, p)
                 assert order == (len(group) if t in group else None), (a, t)
 
     @pytest.mark.parametrize("p", SAFE_PRIMES)
@@ -118,7 +122,7 @@ class TestOneDiscreteLog:
             a = rng.randrange(2, p)
             first = powers_of(a, p)
             for t in (rng.randrange(1, p), pow(a, rng.randrange(p), p), 1, a):
-                assert modular._discrete_log(a, t, p) == first.get(t), (a, t)
+                assert modular._discrete_log(a, t, 1, p) == first.get(t), (a, t)
 
     def test_seeded_beyond_the_table(self):
         p = 10**7 + 19
@@ -127,14 +131,14 @@ class TestOneDiscreteLog:
             a = rng.randrange(2, p)
             order = modular.multiplicative_order(a, p)
             k = rng.randrange(1, 3 * p)
-            n = modular._discrete_log(a, pow(a, k, p), p)
+            n = modular._discrete_log(a, pow(a, k, p), 1, p)
             assert n == (k - 1) % order + 1
             # a square generates no non-square (Euler's criterion)
             square = a * a % p
             t = rng.randrange(2, p)
             while pow(t, (p - 1) // 2, p) != p - 1:
                 t = rng.randrange(2, p)
-            assert modular._discrete_log(square, t, p) is None
+            assert modular._discrete_log(square, t, 1, p) is None
 
 
 class TestPrimalityGuard:
@@ -351,9 +355,9 @@ class TestAdversarialExcludedSet:
             walked.append(p)
             return walk(reduced, x, p)
 
-        def log_recording(a, t, p):
+        def log_recording(a, beta, gamma, p):
             logged.append(p)
-            return log(a, t, p)
+            return log(a, beta, gamma, p)
 
         monkeypatch.setattr(modular, "_walk", walk_recording)
         monkeypatch.setattr(modular, "_discrete_log", log_recording)
@@ -392,3 +396,100 @@ class TestNoDiscreteLogForAnExponent:
         assert first_refuting_prime(u, r, PrimeSet(), bound) is None
         # The search answers every linear prime in closed form, with no walk.
         assert walked == []
+
+
+class TestOneTrialDivision:
+    """is_prime and factorize share one divisor loop (_least_factor)."""
+
+    def test_both_match_trial_division_across_the_table_edge(self):
+        primes_up_to(3000)
+        edge = len(modular._spf)
+        # Around the edge, and numbers past it whose cofactor falls inside.
+        numbers = [*range(edge - 200, edge + 200),
+                   *(k * m for k in (2, 4, 9, 97, 2**12) for m in range(edge - 60, edge)),
+                   *(q * q for q in (edge + 2, 3001, 2999))]
+        for n in numbers:
+            expected = trial_division(n)
+            assert factorize(n) == expected, n
+            assert list(factorize(n)) == sorted(expected), n
+            assert is_prime(n) == (expected == {n: 1}), n
+
+    def test_an_even_number_past_the_budget_is_not_prime(self):
+        assert is_prime(2 * (10**15 + 37)) is False
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_factorize_names_the_cofactor_it_could_not_finish(self, k):
+        message = (f"trial division of {10**15 + 37} would pass the divisor "
+                   f"budget of {PRIME_BOUND_MAX}")
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            factorize(k * (10**15 + 37))
+
+    def test_is_prime_names_its_input(self, monkeypatch):
+        monkeypatch.setattr(modular, "PRIME_BOUND_MAX", 100)
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                "trial division of 10403 would pass the divisor budget of 100")):
+            is_prime(101 * 103)
+        with pytest.raises(BudgetExceededError, match="trial division of 10403 "):
+            factorize(2 * 3 * 101 * 103)
+
+
+class TestOneLemma1Target:
+    def test_no_inverse_where_alpha_generates_every_unit(self, monkeypatch):
+        """The subgroup test inverts gamma only where ord_p(alpha) < p-1:
+        elsewhere every unit lies in the group."""
+        inverted = []
+
+        def counting_pow(base, exp, mod=None):
+            if mod is not None and exp == -1:
+                inverted.append(mod)
+            return pow(base, exp, mod)
+
+        alpha, beta, gamma, bound = 2, 3, 5, 3000
+        expected = lemma1_witnesses(alpha, beta, gamma, bound)
+        monkeypatch.setattr(modular, "pow", counting_pow, raising=False)
+        assert lemma1_witnesses(alpha, beta, gamma, bound) == expected
+        tested = [p for p in primes_up_to(bound) if alpha * beta * gamma % p]
+        short = [p for p in tested if modular.multiplicative_order(alpha, p) < p - 1]
+        assert inverted == short
+        assert 0 < len(short) < len(tested)
+
+
+def resident_primes():
+    return [n for n in range(len(modular._spf)) if modular._spf[n] == 0]
+
+
+class TestOnePrimeList:
+    def test_primes_up_to_stays_exact_after_the_table_grows(self):
+        bounds = [2, 3, 10, 97, 100, 1000]
+        before = {b: primes_up_to(b) for b in bounds}
+        primes_up_to(5000)
+        for b in bounds:
+            assert primes_up_to(b) == before[b] == [n for n in range(b + 1)
+                                                     if trial_division(n) == {n: 1}]
+
+    def test_the_list_never_lags_the_table(self):
+        assert list(modular._primes) == resident_primes() == []
+        for grow in (lambda: primes_up_to(30),
+                     lambda: certify_local(linear(2, 6), 6, [5], 500),
+                     lambda: lemma1_witnesses(2, 3, 5, 800),
+                     lambda: first_refuting_prime(linear(3, 7), 5, (), 1200),
+                     lambda: primes_up_to(100)):
+            grow()
+            assert list(modular._primes) == resident_primes()
+        assert len(modular._spf) == 1201
+
+    def test_mixed_bounds_and_excluded_sets_match_a_fresh_table(self, monkeypatch):
+        """The traffic a one-entry cache keyed on (bound, A) missed: each
+        report equals the one a fresh table gives."""
+        rng = random.Random(15)
+        calls = []
+        for _ in range(40):
+            a = rng.choice([-3, -2, 2, 3, 5, 6])
+            u = linear(a, rng.randint(-9, 9) or 1)
+            A = rng.choice([None, (), [2], (3, 2), PrimeSet([5, 7]), [2, 3, 5, 7, 11]])
+            calls.append((u, rng.randint(-5, 8), A, rng.choice([2, 50, 300, 1000])))
+        reports = [certify_local(*call) for call in calls]
+        for call, report in zip(calls, reports):
+            monkeypatch.setattr(modular, "_spf", array("H", (1, 1)))
+            monkeypatch.setattr(modular, "_primes", array("I"))
+            assert certify_local(*call) == report, call

@@ -23,6 +23,7 @@ from polyorbit import (
     verify_theorem,
 )
 from polyorbit import verify
+from polyorbit.classify import CATALOG_FAMILIES
 from polyorbit.polynomials import DEGREE_MAX
 
 
@@ -257,6 +258,24 @@ class TestGenerators:
         members = generate_list_members("Thm3", A=PrimeSet([2]), exponent_sum=2)
         assert len(members) == len(set(members))
         assert linear(1, -1) in members  # x-1 appears in two items, kept once
+
+    @pytest.mark.parametrize("family, params, repeats", [
+        ("Thm1", {}, 0),
+        ("Thm2", {}, 1),
+        ("Thm3", {"A": PrimeSet([2, 3, 5, 7]), "exponent_sum": 4}, 1),
+        ("Thm4", {"r": 12, "exponent_sum": 3}, 0),
+        ("Cor4", {"r": -6}, 0),
+    ])
+    def test_family_is_its_items_concatenated_first_occurrence_kept(self, family,
+                                                                    params, repeats):
+        concatenated = [u for ident in CATALOG_FAMILIES[family]
+                        for u in generate_list_members(ident, **params)]
+        kept = []
+        for u in concatenated:
+            if u not in kept:
+                kept.append(u)
+        assert len(concatenated) - len(kept) == repeats
+        assert generate_list_members(family, **params) == kept
 
     def test_mirror_family(self):
         members = generate_list_members("Cor4.4", r=-6)
