@@ -18,7 +18,10 @@ whether the change stays inside the metric's bound, and whether the metric
 is unresolved: the parent's quartile spread, relative to its median, wider
 than the bound, with some run of the change not better than every run of
 the parent. It also totals each side's failed and attempted operations and
-flags a change whose failed share is the larger. Runs and summary are
+flags a change whose failed share is the larger. Each run keeps its job
+count (detail.repeats of its record), and each side's median job count is
+printed beside peak_rss_mb: run.py keeps every job it runs, so more jobs in
+the same seconds raise the peak on their own. Runs and summary are
 written to --out under the workload's name after every run; the other
 workloads of an existing --out file are kept, so one file holds several
 workloads. A run that exits non-zero is recorded with its exit code and
@@ -103,7 +106,19 @@ def failure_totals(runs: list[dict]) -> dict:
     return out
 
 
-def format_summary(workload: str, summary: dict, failures: dict) -> list[str]:
+def job_counts(runs: list[dict]) -> dict:
+    """Each side's median job count over its runs that recorded one, None
+    for a side with none."""
+    out = {}
+    for side in ("parent", "change"):
+        counts = [run["jobs"] for run in runs
+                  if run["side"] == side and run.get("jobs") is not None]
+        out[side] = statistics.median(counts) if counts else None
+    return out
+
+
+def format_summary(workload: str, summary: dict, failures: dict,
+                   jobs: dict | None = None) -> list[str]:
     p, c = failures["parent"], failures["change"]
     lines = [f"# {workload}",
              f"failed             parent {p['failed']}/{p['attempted']}"
@@ -117,13 +132,16 @@ def format_summary(workload: str, summary: dict, failures: dict) -> list[str]:
             f"  {s['relative_change']:+.1%}  wins {s['change_wins']}/{s['pairs']}"
             f"  gap {s['median_gap']:.4g} vs spread {s['parent_spread']:.4g}"
             f"  {'within' if s['within_bound'] else 'OUTSIDE'} bound {s['bound']}"
-            f"{'  unresolved' if s['unresolved'] else ''}")
+            f"{'  unresolved' if s['unresolved'] else ''}"
+            + (f"  jobs parent {jobs['parent']} change {jobs['change']}"
+               if jobs and name == "peak_rss_mb" else ""))
     return lines
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in tree: its JSON result and record, or,
-    when it exits non-zero, its exit code and the last lines of its stderr."""
+    """One untraced perfbench run in tree: its JSON result, provenance and
+    job count (None when the record has none), or, when it exits non-zero,
+    its exit code and the last lines of its stderr."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -133,24 +151,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record_path = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(record_path.read_text(encoding="utf-8"))
-    return {"result": result, "provenance": record["provenance"]}
+    return {"result": result, "provenance": record["provenance"],
+            "jobs": record.get("detail", {}).get("repeats")}
 
 
 def write_out(args: argparse.Namespace, spec: dict,
-              runs: list[dict]) -> tuple[dict, dict]:
-    """Write the runs so far, and the summary and failure totals of those
-    that finished, to --out under the workload's name; return both."""
+              runs: list[dict]) -> tuple[dict, dict, dict]:
+    """Write the runs so far, and the summary, failure totals and median
+    job counts of those that finished, to --out under the workload's name;
+    return all three."""
     summary = summarize([run for run in runs if "metrics" in run], spec)
-    failures = failure_totals(runs)
+    failures, jobs = failure_totals(runs), job_counts(runs)
     doc = {}
     if args.out.exists():
         doc = json.loads(args.out.read_text(encoding="utf-8"))
     doc.setdefault("workloads", {})[args.workload] = {
         "pairs": args.pairs, "first_seed": args.first_seed, "seconds": args.seconds,
-        "summary": summary, "failures": failures, "runs": runs,
+        "summary": summary, "failures": failures, "jobs": jobs, "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return summary, failures
+    return summary, failures, jobs
 
 
 def main(argv=None) -> int:
@@ -165,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs, summary, failures = [], {}, failure_totals([])
+    runs, summary, failures, jobs = [], {}, failure_totals([]), job_counts([])
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -182,11 +202,11 @@ def main(argv=None) -> int:
                          "correct": got["result"]["correct"],
                          "failed": got["result"]["failed"],
                          "attempted": got["result"]["attempted"],
-                         "provenance": got["provenance"]})
-            summary, failures = write_out(args, spec, runs)
+                         "jobs": got["jobs"], "provenance": got["provenance"]})
+            summary, failures, jobs = write_out(args, spec, runs)
             print(f"pair {i} seed {seed} {side}: failed {got['result']['failed']}",
                   file=sys.stderr, flush=True)
-    print("\n".join(format_summary(args.workload, summary, failures)))
+    print("\n".join(format_summary(args.workload, summary, failures, jobs)))
     return 0
 
 

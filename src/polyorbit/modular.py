@@ -4,7 +4,7 @@ certification of local nilpotency, and the cyclic-subgroup witness search.
 One smallest-prime-factor table serves the whole module: it certifies
 that a sieved p is prime and factors every p-1 by lookup, and its
 ascending prime list, rebuilt with it, is the one list that every prime
-range is sliced from. The table grows to the largest prime bound asked
+range is read from. The table grows to the largest prime bound asked
 for, never past PRIME_BOUND_MAX, and never shrinks.
 
 Linear maps are answered without walking to the hit. Write beta = b and
@@ -33,10 +33,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse, islice
 from math import isqrt
 from operator import not_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .orbits import BudgetExceededError
 from .polynomials import Polynomial
@@ -107,25 +107,24 @@ def _table(bound: int) -> array:
     return _primes
 
 
-def _primes_outside(bound: int, excluded: Sequence[int]) -> Sequence[int]:
-    """The primes up to bound not in excluded, ascending: a slice of the
-    table's prime list, filtered only when excluded is nonempty."""
+def _primes_outside(bound: int, excluded: Sequence[int]) -> Iterator[int]:
+    """The primes up to bound not in excluded, ascending: an iterator over
+    the table's prime list, copying none of it, filtered only when excluded
+    is nonempty. _table rebinds the list and never mutates it, so the
+    iterator stays valid when the table grows before it is finished."""
     primes = _table(bound)
-    primes = primes[: bisect_right(primes, bound)]
-    if excluded:
-        skip = set(excluded)
-        return [p for p in primes if p not in skip]
-    return primes
+    primes = islice(primes, bisect_right(primes, bound))
+    return filterfalse(set(excluded).__contains__, primes) if excluded else primes
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending, a fresh list sliced from the table's
+    """All primes <= bound, ascending, a fresh list copied from the table's
     prime list. A bound above PRIME_BOUND_MAX raises BudgetExceededError
     before any allocation."""
     if bound < 2:
         return []
     check_prime_bound(bound)
-    return _primes_outside(bound, ()).tolist()
+    return list(_primes_outside(bound, ()))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -194,14 +193,14 @@ def _as_prime_set(A: "PrimeSet | Iterable[int] | None") -> PrimeSet:
     return PrimeSet(A)
 
 
-@dataclass(frozen=True)
-class PrimeCertificate:
+class PrimeCertificate(NamedTuple):
     """Per-prime verdict on the orbit of u at r in Z/pZ.
 
     Hit: m_p is the least n >= 1 with u^(n)(r) = 0 mod p (always <= p by
     pigeonhole). Refuted: the residue orbit entered a 0-free cycle, so no
     iterate is ever 0 mod p; cycle stores (tail_length, cycle_values) over
-    the sequence r, u(r), ... reduced mod p.
+    the sequence r, u(r), ... reduced mod p. A tuple (p, m_p, cycle): it
+    compares equal to one, unpacks, and copies with _replace and _asdict.
     """
 
     p: int
@@ -268,17 +267,17 @@ def orbit_mod_p(u: Polynomial, r: int, p: int) -> PrimeCertificate:
         a, b = reduced
         if a == 1:
             if b:
-                return PrimeCertificate(p, m_p=(-x * pow(b, -1, p)) % p or p)
+                return PrimeCertificate(p, (-x * pow(b, -1, p)) % p or p)
         else:
             gamma = (x * (a - 1) + b) % p
             if b == a * gamma % p:  # u(x) = 0
-                return PrimeCertificate(p, m_p=1)
+                return PrimeCertificate(p, 1)
             if b and gamma and (m_p := _discrete_log(a, b, gamma, p)) is not None:
-                return PrimeCertificate(p, m_p=m_p)
+                return PrimeCertificate(p, m_p)
     n, seen = _walk(reduced, x, p)
     if seen is None:
-        return PrimeCertificate(p, m_p=n)
-    return PrimeCertificate(p, cycle=(n, tuple(seen)[n:]))
+        return PrimeCertificate(p, n)
+    return PrimeCertificate(p, None, (n, tuple(seen)[n:]))
 
 
 def _walk(reduced: Sequence[int], x: int, p: int) -> tuple[int, dict | None]:
@@ -390,14 +389,15 @@ def certify_local(
     e = _linear_exponent(u, r)
     special = 0 if e is None else _exceptional_product(u, r)
     certificates = []
+    append, a = certificates.append, u.lead
     for p in _primes_outside(prime_bound, _as_prime_set(A).primes):
         if special % p:
-            order = multiplicative_order(u.lead, p)
-            cert = PrimeCertificate(p, m_p=-e % order or order)
-        else:
-            cert = orbit_mod_p(u, r, p)
-        certificates.append(cert)
-        if not cert.hit:
+            order = multiplicative_order(a, p)
+            append(PrimeCertificate(p, -e % order or order))
+            continue
+        cert = orbit_mod_p(u, r, p)
+        append(cert)
+        if cert.m_p is None:
             return LocalReport(prime_bound, p, tuple(certificates))
     return LocalReport(prime_bound, None, tuple(certificates))
 
@@ -512,8 +512,8 @@ def lemma1_witnesses(
     subgroup test the residue orbits use (_subgroup_order): beta/gamma lies
     in that group exactly when (beta/gamma)^ord_p(alpha) = 1 mod p. When
     ord_p(alpha) = p-1 the group is all of (Z/pZ)*, and neither an inverse
-    nor a power is taken. No residue walk is needed, and the primes are a
-    slice of the table's prime list.
+    nor a power is taken. No residue walk is needed, and the primes are read
+    from the table's prime list.
     Requires that neither beta/gamma nor gamma/beta is a nonnegative
     integer power of alpha (otherwise a caller logic error: such witnesses
     cannot exist for almost all primes), and a prime bound of at least 2.

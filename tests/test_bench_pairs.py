@@ -223,3 +223,57 @@ def test_failure_totals_are_written_and_printed(tmp_path, capsys):
         "parent": {"failed": 0, "attempted": 2}, "change": {"failed": 0, "attempted": 2},
         "change_fails_more": False}
     assert "failed             parent 0/2  change 0/2\n" in capsys.readouterr().out
+
+
+def test_job_counts_take_each_sides_median():
+    runs = [{"pair": 0, "side": "parent", "jobs": 10},
+            {"pair": 1, "side": "parent", "jobs": 14},
+            {"pair": 2, "side": "parent", "jobs": None},
+            {"pair": 0, "side": "change", "jobs": 30},
+            {"pair": 1, "side": "change", "exit_code": 1, "stderr_tail": []}]
+    assert bench_pairs.job_counts(runs) == {"parent": 12, "change": 30}
+    assert bench_pairs.job_counts(runs[:3]) == {"parent": 12, "change": None}
+
+
+def test_job_counts_are_printed_beside_peak_rss_only():
+    runs = synthetic_runs({"job_s": [1.0], "peak_rss_mb": [40.0]},
+                          {"job_s": [1.0], "peak_rss_mb": [42.0]})
+    spec = {"end_to_end": SPEC["end_to_end"][:1] + [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15}]}
+    lines = bench_pairs.format_summary("w", bench_pairs.summarize(runs, spec),
+                                       bench_pairs.failure_totals([]),
+                                       {"parent": 400, "change": 480})
+    assert lines[2].startswith("job_s") and "jobs" not in lines[2]
+    assert lines[3].startswith("peak_rss_mb")
+    assert lines[3].endswith("  jobs parent 400 change 480")
+
+
+def test_job_counts_are_written_and_printed(tmp_path, capsys):
+    tree = fake_tree(tmp_path / "tree", 0)
+    run_py = tree / "perfbench" / "run.py"
+    record = 'json.dumps({"provenance": {"run": n}})'
+    assert record in run_py.read_text(encoding="utf-8")
+    run_py.write_text(run_py.read_text(encoding="utf-8").replace(
+        record, 'json.dumps({"provenance": {"run": n}, "detail": {"repeats": n * n}})'),
+        encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tree), "--change", str(tree),
+                             "--workload", "w", "--pairs", "2", "--first-seed", "7",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
+    # runs 1..4 go parent, change, change, parent
+    assert [(r["side"], r["jobs"]) for r in doc["runs"]] == [
+        ("parent", 1), ("change", 4), ("change", 9), ("parent", 16)]
+    assert doc["jobs"] == {"parent": 8.5, "change": 6.5}
+    assert "  jobs parent 8.5 change 6.5\n" in capsys.readouterr().out
+
+
+def test_a_record_without_a_job_count_keeps_none(tmp_path):
+    tree = fake_tree(tmp_path / "tree", 0)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tree), "--change", str(tree),
+                             "--workload", "w", "--pairs", "1", "--first-seed", "7",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
+    assert [r["jobs"] for r in doc["runs"]] == [None, None]
+    assert doc["jobs"] == {"parent": None, "change": None}

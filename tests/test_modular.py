@@ -1,5 +1,6 @@
 """Residue orbits, certificates, primes, and the witness search."""
 
+import pickle
 from itertools import product
 from math import isqrt
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from polyorbit import (
     BudgetExceededError,
     LemmaPreconditionError,
+    LocalReport,
     OrbitKind,
     Polynomial,
+    PrimeCertificate,
     PrimeSet,
     certify_local,
     decide_nilpotency,
@@ -83,6 +86,21 @@ class TestPrimes:
         assert primes_up_to(100)[-1] == 97
         with pytest.raises(BudgetExceededError):
             primes_up_to(101)
+
+    @pytest.mark.parametrize("excluded", [(), (3, 97)])
+    def test_prime_range_survives_table_growth(self, excluded):
+        expected = [p for p in primes_up_to(100) if p not in excluded]
+        primes = iter(modular._primes_outside(100, excluded))
+        head = [next(primes) for _ in range(3)]
+        primes_up_to(10**4)
+        assert head + list(primes) == expected
+
+    def test_returned_list_is_a_fresh_copy(self):
+        first = primes_up_to(30)
+        first.append(4)
+        first[0] = 9
+        assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert primes_up_to(30) is not primes_up_to(30)
 
 
 class TestPrimeSet:
@@ -356,6 +374,54 @@ class TestCertifyLocal:
         for p, cert in by_p.items():
             if p > 3:
                 assert cert.hit and (p - 1) % cert.m_p == 0
+
+
+class TestPrimeCertificate:
+    """The public contract of a certificate: fields, defaults, repr,
+    equality, hashing, immutability and pickling."""
+
+    def test_positional_and_keyword_construction(self):
+        assert PrimeCertificate(7, 3) == PrimeCertificate(p=7, m_p=3)
+        cycle = (1, (2, 4))
+        assert PrimeCertificate(7, None, cycle) == PrimeCertificate(p=7, cycle=cycle)
+        cert = PrimeCertificate(7)
+        assert cert.p == 7 and cert.m_p is None and cert.cycle is None
+
+    def test_repr(self):
+        assert repr(PrimeCertificate(7, 3)) == "PrimeCertificate(p=7, m_p=3, cycle=None)"
+        assert repr(PrimeCertificate(5, None, (0, (1, 3)))) == (
+            "PrimeCertificate(p=5, m_p=None, cycle=(0, (1, 3)))")
+
+    def test_hit_and_kind(self):
+        hit, refuted = PrimeCertificate(7, 3), PrimeCertificate(5, None, (0, (1, 3)))
+        assert hit.hit and hit.kind == "hit"
+        assert not refuted.hit and refuted.kind == "refuted"
+
+    def test_equal_certificates_hash_equal(self):
+        a, b = PrimeCertificate(11, 5), orbit_mod_p(linear(1, 2), 1, 11)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, PrimeCertificate(11, 6)}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        cert = PrimeCertificate(7, 3)
+        for field in ("p", "m_p", "cycle"):
+            with pytest.raises(AttributeError):
+                setattr(cert, field, 1)
+        assert cert == PrimeCertificate(7, 3)
+
+    def test_pickle_round_trip(self):
+        report = certify_local(linear(4, -2), 1, None, 100)
+        for cert in report.certificates:
+            assert pickle.loads(pickle.dumps(cert)) == cert
+        assert pickle.loads(pickle.dumps(report)) == report
+
+    def test_local_report_repr(self):
+        report = LocalReport(5, 5, (PrimeCertificate(2, 1),
+                                    PrimeCertificate(5, None, (0, (1, 3)))))
+        assert repr(report) == (
+            "LocalReport(prime_bound=5, refuted_at=5, certificates="
+            "(PrimeCertificate(p=2, m_p=1, cycle=None), "
+            "PrimeCertificate(p=5, m_p=None, cycle=(0, (1, 3)))))")
 
 
 class TestIsIntegerPower:
