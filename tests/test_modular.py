@@ -397,6 +397,13 @@ class TestPrimeCertificate:
         assert hit.hit and hit.kind == "hit"
         assert not refuted.hit and refuted.kind == "refuted"
 
+    def test_a_certificate_is_the_tuple_of_its_fields(self):
+        cert = PrimeCertificate(5, None, (0, (1, 3)))
+        p, m_p, cycle = cert
+        assert cert == (5, None, (0, (1, 3))) == (p, m_p, cycle)
+        assert cert._replace(m_p=2) == PrimeCertificate(5, 2, (0, (1, 3)))
+        assert cert._asdict() == {"p": 5, "m_p": None, "cycle": (0, (1, 3))}
+
     def test_equal_certificates_hash_equal(self):
         a, b = PrimeCertificate(11, 5), orbit_mod_p(linear(1, 2), 1, 11)
         assert a == b and hash(a) == hash(b)
