@@ -8,9 +8,8 @@ The decidable cases and their catalog citations:
 * Thm2.1-5   all of L at r=0, A=empty (any degree).
 * Thm3.1-5   all linear members of L at r=1 for an arbitrary finite A.
 * Thm4.1-4   linear strictly-local members at r >= 2, A=empty.
-* Rem3       strictly-local members at |r| >= 2 outside the four Thm4
-             shapes, by the geometric power condition (see
-             classify_Sr_linear); the cataloged list alone is incomplete.
+* Rem3       linear members at |r| >= 2 outside the four Thm4/Cor4 shapes,
+             by the linear rule (see classify_Sr_linear).
 * Cor4.1-4   the r <= -2 mirror of Thm4 under negate-conjugation.
 * Fact1      degree >= 2 and non-nilpotent at r implies non-membership.
 * Def.N      nilpotent at r (orbit reaches 0), hence trivially a member.
@@ -23,15 +22,10 @@ hunt for a refuting prime, and a refutation is a proof of non-membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
-from .modular import (
-    PrimeSet,
-    _as_prime_set,
-    _linear_exponent,
-    factorize,
-    prime_support,
-)
+from .modular import PrimeSet, _as_prime_set, _linear_member
 from .orbits import OrbitKind, OrbitOutcome, check_caps, decide_nilpotency
 from .polynomials import Polynomial, linear
 
@@ -197,7 +191,7 @@ def classify_L0(u: Polynomial) -> Verdict:
                 "catalog annotates +-x+b strictly-local; the orbit at 0 "
                 "returns to 0 at step 2",
             )
-        if prime_support(a) <= prime_support(b):
+        if _linear_member(u, 0) is not None:
             return _strictly_local("Thm2.3")
         return _non_member("Thm2")
     # degree 0 or >= 2 with nonzero constant term: only item (5) remains.
@@ -214,27 +208,22 @@ def classify_L1A_linear(u: Polynomial, A: "PrimeSet | None") -> Verdict:
     Catalog: (1) x+b with the prime support of b inside A (nilpotent index
     1 exactly for b=-1); (2) a(x-1), index 1; (3) ax+1 with |a| >= 2 and
     support(a) inside A; (4) -2x-1, a member precisely when 2 is in A;
-    (5) -2x+4, index 2. Everything else is strictly local.
+    (5) -2x+4, index 2. Everything else is strictly local. Items (1), (3)
+    and (4) label the members of the linear rule (modular._linear_member):
+    its m = 0 forces a = 1, m = 1 forces b = 1, m = 2 forces -2x-1, and
+    m >= 3 has no solution at r=1.
     """
     _require_nonzero(u)
     if u.degree != 1:
         raise ValueError("this classifier covers degree 1 only")
-    A = _as_prime_set(A)
-    allowed = set(A)
     a, b = u.lead, u.constant
-    if a == 1 and b != 0 and prime_support(b) <= allowed:
-        if b == -1:
-            return _nilpotent(1, "Thm3.1")
-        return _strictly_local("Thm3.1")
     if b == -a:
-        return _nilpotent(1, "Thm3.2")
-    if b == 1 and abs(a) >= 2 and prime_support(a) <= allowed:
-        return _strictly_local("Thm3.3")
-    if (a, b) == (-2, -1) and 2 in A:
-        return _strictly_local("Thm3.4")
+        return _nilpotent(1, "Thm3.1" if a == 1 else "Thm3.2")
     if (a, b) == (-2, 4):
         return _nilpotent(2, "Thm3.5")
-    return _non_member("Thm3")
+    if _linear_member(u, 1, prod(_as_prime_set(A).primes)) is None:
+        return _non_member("Thm3")
+    return _strictly_local("Thm3.1" if a == 1 else "Thm3.3" if b == 1 else "Thm3.4")
 
 
 def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
@@ -244,19 +233,19 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
     b > 0 supported on the primes of r; (2) x-b, b > 0 supported on the
     primes of r with some exponent exceeding r's; (3) ax+r with |a| >= 2
     supported on the primes of r; (4) -2x-r, r even. For r <= -2 the
-    catalog is the negate-conjugate of the positive one (Cor4.*).
+    catalog is the negate-conjugate of the positive one (Cor4.*), read
+    directly: the rule and each shape are unchanged when u and r are both
+    mirrored, so .1 is x+b with b of the sign of r, .2 the other sign, .3
+    is b = r and .4 is (a, b) = (-2, -r).
 
-    For |a| >= 2 the complete membership rule is the power condition
-
-        r*(a-1) = b*(a^m - 1) for some m >= 1, with support(a) inside
-        support(b)
-
-    (then every iterate is b*(a^(n+m)-1)/(a-1), so every prime has a
-    hitting time by the multiplicative order argument, while no exact zero
-    can occur). Items (3) and (4) are its m=1 and (-2x-r) shapes; members
-    outside the four cataloged shapes (possible once r has a proper
-    divisor with mixed exponent structure, e.g. 2x+2 at r=6) are cited as
-    Rem3. Exhaustive certificate sweeps back this completion.
+    Membership is the linear rule (modular._linear_member). For |a| >= 2
+    it is the power condition r*(a-1) = b*(a^m - 1) for some m >= 1, with
+    support(a) inside support(b) (then every iterate is b*(a^(n+m)-1)/(a-1),
+    so every prime has a hitting time by the multiplicative order argument,
+    while no exact zero can occur). Members outside the four cataloged
+    shapes (possible once r has a proper divisor with mixed exponent
+    structure, e.g. 2x+2 at r=6) are cited as Rem3. Exhaustive certificate
+    sweeps back this completion.
 
     This is a structural test for the strictly-local catalog only; the
     dispatcher settles nilpotent membership before calling it.
@@ -272,43 +261,23 @@ def _sr_linear(u: Polynomial, r: int, orbit: OrbitOutcome | None) -> Verdict:
         raise ValueError("this classifier covers degree 1 only")
     if abs(r) < 2:
         raise ValueError("this classifier covers |r| >= 2 only")
-    if r < 0:
-        subclass, citation, note = _sr_linear_item(u.negate_conjugate(), -r)
-        citation = mirror_item(citation)
-    else:
-        subclass, citation, note = _sr_linear_item(u, r)
-    return Verdict(True, subclass is not None, subclass, None, citation, note, orbit)
-
-
-def _sr_linear_item(u: Polynomial, r: int) -> tuple[str | None, str, str]:
-    """The (subclass, citation, note) of linear u at r >= 2: subclass is
-    STRICTLY_LOCAL for a member and None for a non-member."""
-    r_fac = factorize(r)
-    r_primes = set(r_fac)
+    family = "Thm4" if r > 0 else "Cor4"
     b, a = u.coeffs
-    if a == 1 and b != 0 and prime_support(b) <= r_primes:
-        if b > 0:
-            return STRICTLY_LOCAL, "Thm4.1", ""
-        b_fac = factorize(-b)
-        if any(e > r_fac[q] for q, e in b_fac.items()):
-            return STRICTLY_LOCAL, "Thm4.2", ""
+    if a == 1 and b * r < 0 and r % b == 0:
         note = f"nilpotent at {r} (index {r // -b}), hence not strictly local"
-        return None, "Thm4", note
-    m = _linear_exponent(u, r)
-    if (abs(a) >= 2 and m is not None and m >= 1
-            and prime_support(a) <= prime_support(b)):
-        if b == r:
-            return STRICTLY_LOCAL, "Thm4.3", ""
-        if (a, b) == (-2, -r):
-            return STRICTLY_LOCAL, "Thm4.4", ""
-        return (
-            STRICTLY_LOCAL,
-            "Rem3",
-            f"member by the power condition r(a-1)=b(a^{m}-1) with "
-            "support(a) inside support(b); outside the four "
-            "cataloged shapes",
-        )
-    return None, "Thm4", ""
+        return Verdict(True, False, None, None, family, note, orbit)
+    m = _linear_member(u, r)
+    if m is None:
+        return Verdict(True, False, None, None, family, "", orbit)
+    if a == 1:
+        item = ".1" if b * r > 0 else ".2"
+    else:
+        item = ".3" if b == r else ".4" if (a, b) == (-2, -r) else None
+    if item is None:
+        note = (f"member by the power condition r(a-1)=b(a^{m}-1) with support(a) "
+                "inside support(b); outside the four cataloged shapes")
+        return Verdict(True, True, STRICTLY_LOCAL, None, "Rem3", note, orbit)
+    return Verdict(True, True, STRICTLY_LOCAL, None, family + item, "", orbit)
 
 
 def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verdict:
@@ -317,9 +286,10 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
     Coverage: r in {1,-1,0} with empty A at any degree; r=1 with any A at
     degree 1; |r| >= 2 with empty A (nilpotency decided by the orbit
     engine first, under the decide_nilpotency caps given as keywords, then
-    Fact1 for degree >= 2, the strictly-local catalog for degree 1).
-    Everything else returns decidable=False. Caps below 1 are refused;
-    no caps means the defaults, which need no check.
+    Fact1 for degree >= 2, the strictly-local catalog for degree 1). Each
+    linear item labels the gcd rule modular._linear_member: nothing is
+    factored. Everything else returns decidable=False. Caps below 1 are
+    refused; no caps means the defaults, which need no check.
     """
     coeffs = u.coeffs
     if not coeffs:

@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, filterfalse, islice
-from math import isqrt
+from math import gcd, isqrt
 from operator import not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -358,6 +358,35 @@ def _linear_exponent(u: Polynomial, r: int) -> int | None:
         e = is_integer_power(a, beta // gamma)
         if e is not None:
             return -e
+    return None
+
+
+def _primes_divide(n: int, m: int) -> bool:
+    """Whether every prime of the nonzero n divides m (m = 0 admits every
+    n): n is stripped of its common factors with m until none is left."""
+    g = gcd(n, m)
+    while g != 1:
+        n //= g
+        g = gcd(n, g)
+    return n in (1, -1)
+
+
+def _linear_member(u: Polynomial, r: int, excluded: int = 1) -> int | None:
+    """The exponent m >= 0 that makes u = ax+b, not nilpotent at r, a
+    member of L outside the primes whose product is excluded; None for a
+    non-member. x+b with b != 0 hits every prime not dividing b or dividing
+    r (m = 0). For |a| >= 2, gamma = beta a^m (_linear_exponent), a prime
+    dividing none of a(a-1)beta gamma hits, a prime of a hits exactly when
+    it divides b, and a prime of a-1 that divides b exactly when it
+    divides r. a = -1 is never a member."""
+    b, a = u.coeffs
+    if a == 1:
+        return 0 if b and _primes_divide(b, r * excluded) else None
+    m = _linear_exponent(u, r)
+    if m is None or m < 0 or a == -1:
+        return None
+    if _primes_divide(a, b * excluded) and _primes_divide(gcd(a - 1, b), r * excluded):
+        return m
     return None
 
 

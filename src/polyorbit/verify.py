@@ -26,9 +26,9 @@ from .classify import (
 )
 # Unused here; certify_local stays bound because perfbench/spans.py wraps
 # polyorbit.verify.certify_local by name.
-from .modular import (PrimeSet, _as_prime_set, certify_local,  # noqa: F401
-                      check_prime_bound, factorize, first_refuting_prime,
-                      prime_support)
+from .modular import (PrimeSet, _as_prime_set, _primes_divide,  # noqa: F401
+                      certify_local, check_prime_bound, factorize,
+                      first_refuting_prime)
 from .orbits import (BudgetExceededError, OrbitKind, OrbitOutcome, check_caps,
                      decide_nilpotency)
 from .polynomials import DEGREE_MAX, Polynomial, linear
@@ -413,7 +413,7 @@ def generate_list_members(
                 linear(a, b)
                 for a in nonzero
                 for b in nonzero
-                if abs(a) >= 2 and prime_support(a) <= prime_support(b)
+                if abs(a) >= 2 and _primes_divide(a, b)
             ]
         if item == "4":
             x = Polynomial((0, 1))

@@ -199,6 +199,14 @@ class TestClassifySr:
         expect(v, False, citation="Thm4")
         assert "nilpotent" in v.note
 
+    def test_nilpotent_note_names_the_start_point(self):
+        v = classify_Sr_linear(linear(1, 3), -6)
+        expect(v, False, citation="Cor4")
+        assert v.note == "nilpotent at -6 (index 2), hence not strictly local"
+        v = classify_Sr_linear(linear(1, -3), 6)
+        expect(v, False, citation="Thm4")
+        assert v.note == "nilpotent at 6 (index 2), hence not strictly local"
+
     def test_slope_item(self):
         expect(classify_Sr_linear(linear(-2, 6), 6), True, STRICTLY_LOCAL,
                citation="Thm4.3")

@@ -409,7 +409,6 @@ class TestCapsAndBounds:
 
     @pytest.mark.parametrize("command", [
         ["classify", "-u", "x+1", "-r", "1", "-A", str(10**15 + 37)],
-        ["classify", "-u", "2x+1", "-r", str(10**15 + 37)],
     ])
     def test_trial_division_over_the_divisor_budget(self, capsys, command):
         code, out, err = run_cli(capsys, *command)
@@ -417,6 +416,26 @@ class TestCapsAndBounds:
         assert out == ""
         assert err == (f"budget exhausted: trial division of {10**15 + 37} would "
                        f"pass the divisor budget of {PRIME_BOUND_MAX}\n")
+
+    @pytest.mark.parametrize("command, result, citation", [
+        (["-u", "2x+1", "-r", str(10**15 + 37)], "NotInL", "Thm4"),
+        (["-u", f"x+{10**20 + 39}", "-r", "1", "-A", "2"], "NotInL", "Thm3"),
+    ], ids=["large-r", "large-b"])
+    def test_linear_rule_factors_no_coefficient(self, capsys, command, result,
+                                                citation):
+        # The linear rule decides membership by gcds alone, so an r or a b
+        # with no divisor inside the trial-division budget needs none.
+        code, doc = run_json(capsys, "classify", *command)
+        assert code == EXIT_OK
+        assert doc["result"]["result"] == result
+        assert doc["result"]["citation"] == citation
+
+    def test_linear_box_at_a_large_r_factors_nothing(self, capsys):
+        code, doc = run_json(capsys, "verify-theorem", "-r", str(10**15 + 37),
+                             "--degree", "1", "--coeff-bound", "2")
+        assert code == EXIT_OK
+        assert doc["result"]["candidates_checked"] == 24
+        assert doc["result"]["discrepancies"] == []
 
     def test_trial_division_within_the_divisor_budget(self, capsys):
         code, doc = run_json(capsys, "classify", "-u", "x+1", "-r", "1",

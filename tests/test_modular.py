@@ -2,7 +2,7 @@
 
 import pickle
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 import oracles
 import pytest
@@ -623,3 +623,45 @@ def test_nilpotent_box_certificates_bounded_by_index():
             assert all(c.m_p <= outcome.index for c in report.certificates)
             checked += 1
     assert checked > 100
+
+
+class TestLinearMembershipRule:
+    """modular._linear_member decides linear membership by gcds alone; the
+    refuting-prime search is the independent reference."""
+
+    def test_primes_divide_matches_prime_support(self):
+        for n in range(-40, 41):
+            if n == 0:
+                continue
+            support = modular.prime_support(n)
+            for m in range(-90, 91):
+                expected = m == 0 or support <= modular.prime_support(m)
+                assert modular._primes_divide(n, m) is expected, (n, m)
+
+    def test_primes_divide_high_powers(self):
+        assert modular._primes_divide(2**40 * 3**7, -6)
+        assert modular._primes_divide(-(5**30), 10**12 + 5)
+        assert not modular._primes_divide(2**40 * 7, 2**50 * 3)
+        assert not modular._primes_divide(10**20 + 39, 2)
+        assert modular._primes_divide(-1, 0) and modular._primes_divide(7, 0)
+
+    def test_member_exactly_when_no_prime_refutes(self):
+        members = non_members = largest = 0
+        for A in [(), (2,), (3,), (2, 3), (2, 5), (2, 3, 5, 7)]:
+            excluded = PrimeSet(A)
+            for a, b, r in product(range(-9, 10), range(-9, 10), range(-10, 11)):
+                if a == 0:
+                    continue
+                u = linear(a, b)
+                if decide_nilpotency(u, r).kind is OrbitKind.REACHED_ZERO:
+                    continue
+                m = modular._linear_member(u, r, prod(A))
+                refuted = modular.first_refuting_prime(u, r, excluded, 600)
+                assert (m is None) is (refuted is not None), (u, r, A, m, refuted)
+                if m is None:
+                    non_members += 1
+                    largest = max(largest, refuted)
+                else:
+                    members += 1
+                    assert r * (a - 1) + b == b * a**m, (u, r, m)
+        assert (members, non_members, largest) == (3732, 38292, 43)
