@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable
 
-from .modular import PrimeSet, _as_prime_set, _linear_member
+from .modular import PrimeSet, _as_prime_set, _linear_exponent, _linear_member
 from .orbits import OrbitKind, OrbitOutcome, check_caps, decide_nilpotency
 from .polynomials import Polynomial, linear
 
@@ -248,13 +248,29 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
     sweeps back this completion.
 
     This is a structural test for the strictly-local catalog only; the
-    dispatcher settles nilpotent membership before calling it.
+    dispatcher settles nilpotent membership before calling it. Called
+    directly on a map nilpotent at r, it answers a non-member of the
+    strictly-local set with the note "nilpotent at r (index n)".
     """
     return _sr_linear(u, r, None)
 
 
+def _linear_index(u: Polynomial, r: int) -> int | None:
+    """The index of u = ax+b at r != 0 when its orbit reaches 0, else None.
+    x+b steps by b; -x+b alternates r, b-r; for |a| >= 2 the n-th iterate
+    is beta (a^(n+e) - 1)/(a-1) (_linear_exponent), zero at n = -e."""
+    b, a = u.coeffs
+    if a == 1:
+        return r // -b if b * r < 0 and r % b == 0 else None
+    if a == -1:
+        return 1 if b == r else None
+    e = _linear_exponent(u, r)
+    return -e if e is not None and e < 0 else None
+
+
 def _sr_linear(u: Polynomial, r: int, orbit: OrbitOutcome | None) -> Verdict:
-    """classify_Sr_linear's verdict, carrying orbit, built once."""
+    """classify_Sr_linear's verdict, carrying orbit, built once. A given
+    orbit has already been found not to reach 0."""
     if not u.coeffs:
         _require_nonzero(u)
     if len(u.coeffs) != 2:
@@ -263,8 +279,9 @@ def _sr_linear(u: Polynomial, r: int, orbit: OrbitOutcome | None) -> Verdict:
         raise ValueError("this classifier covers |r| >= 2 only")
     family = "Thm4" if r > 0 else "Cor4"
     b, a = u.coeffs
-    if a == 1 and b * r < 0 and r % b == 0:
-        note = f"nilpotent at {r} (index {r // -b}), hence not strictly local"
+    index = None if orbit is not None else _linear_index(u, r)
+    if index is not None:
+        note = f"nilpotent at {r} (index {index}), hence not strictly local"
         return Verdict(True, False, None, None, family, note, orbit)
     m = _linear_member(u, r)
     if m is None:

@@ -255,7 +255,7 @@ def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
     for p in primes_up_to(args.prime_bound):
         hits = trap_first_hits(p, cap=args.trap_cap)
         fixed = trap_fixed_points(p, cap=args.trap_cap)
-        nilpotent = all(step >= 1 for step in hits.values())
+        nilpotent = all(hits.values())  # a first hit of 0 is a miss
         fixed_ok = [(pt.x, pt.y) for pt in fixed] == [(0, 0)]
         all_ok = all_ok and nilpotent and fixed_ok
         per_prime.append({

@@ -10,15 +10,18 @@ Both kernels step every one of the p^2 points on each call; that stepping
 is the verification, so nothing is cached between calls. The first-hit
 search steps each point once, into one flat successor table indexed by
 x*p + y, and then walks that table, stopping each walk at the first point
-already known; trap_first_hits keys the hits by point, and
-verify_trap_nilpotence reads them as one flat list. trap_fixed_points scans every
-point, testing the first coordinate x^2*y = x first and the second only
-where that holds. _step is the single-point formula that trap_step
-applies.
+already known. Its answer is one flat list of p^2 small ints, read through
+FirstHits, a read-only mapping from (x, y) to the hit at x*p + y that
+builds no point tuples; trap_first_hits returns it, and
+verify_trap_nilpotence and the trap command read its values.
+trap_fixed_points scans every point, testing the first coordinate
+x^2*y = x first and the second only where that holds. _step is the
+single-point formula that trap_step applies.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import product
 
@@ -113,22 +116,78 @@ def _first_hits(nxt: list[int], p: int) -> list[int]:
     return hits
 
 
-def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> dict[tuple[int, int], int]:
-    """For every start point, the first step n >= 1 at which the n-th
+class _HitValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping._hits)
+
+
+class _HitItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], int]]:
+        return zip(self._mapping, self._mapping._hits)
+
+
+class FirstHits(Mapping[tuple[int, int], int]):
+    """The first hits of every point of F_p^2 as a read-only mapping from
+    (x, y) to hits[x*p + y], iterated in product(range(p), repeat=2)
+    order like the dict of the same items, which it equals. Keys are pairs
+    of ints in [0, p); any other key is absent. values() and items() run
+    over the list itself. The repr shows p and the list, so equal answers
+    have equal reprs."""
+
+    __slots__ = ("p", "_hits")
+
+    def __init__(self, p: int, hits: list[int]):
+        self.p = p
+        self._hits = hits
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        p = self.p
+        if isinstance(key, tuple) and len(key) == 2:
+            x, y = key
+            if (isinstance(x, int) and isinstance(y, int)
+                    and 0 <= x < p and 0 <= y < p):
+                return self._hits[x * p + y]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return product(range(self.p), repeat=2)
+
+    def __len__(self) -> int:
+        return len(self._hits)
+
+    def values(self) -> _HitValues:
+        return _HitValues(self)
+
+    def items(self) -> _HitItems:
+        return _HitItems(self)
+
+    def __repr__(self) -> str:
+        return f"FirstHits({self.p}, {self._hits!r})"
+
+
+def _hit_view(p: int) -> FirstHits:
+    return FirstHits(p, _first_hits(_successors(p), p))  # the table is freed here
+
+
+def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> FirstHits:
+    """For every start point (x, y), the first step n >= 1 at which the n-th
     iterate is (0,0); a value of 0 marks a point that never got there
-    within p steps (which the exhaustive checks show never happens)."""
+    within p steps (which the exhaustive checks show never happens). The
+    answer is a read-only Mapping[tuple[int, int], int] over one flat list
+    of p^2 ints (see FirstHits), equal to the dict of the same items."""
     _check_prime_cap(p, cap)
-    nxt = _successors(p)
-    hits = _first_hits(nxt, p)
-    del nxt  # freed before the dict is built, which lowers the peak
-    return dict(zip(product(range(p), repeat=2), hits))
+    return _hit_view(p)
 
 
 def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
     """True iff all p^2 points reach (0,0) within p steps, equivalently the
     p-th iterate of the map is identically (0,0) ((0,0) is absorbing)."""
     _check_prime_cap(p, cap)
-    return all(first >= 1 for first in _first_hits(_successors(p), p))
+    return all(_hit_view(p).values())
 
 
 def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:

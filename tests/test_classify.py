@@ -207,6 +207,22 @@ class TestClassifySr:
         expect(v, False, citation="Thm4")
         assert v.note == "nilpotent at 6 (index 2), hence not strictly local"
 
+    @pytest.mark.parametrize("a, b, r, index", [
+        (2, -12, 6, 1),    # 2*6 - 12 = 0
+        (2, -4, 3, 2),     # 3 -> 2 -> 0
+        (-2, 8, 2, 2),     # 2 -> 4 -> 0
+        (3, -9, 4, 2),     # 4 -> 3 -> 0
+        (-3, -18, -6, 1),  # -3*(-6) - 18 = 0
+        (-1, 6, 6, 1),     # -6 + 6 = 0
+    ])
+    def test_nilpotent_slope_gets_the_nilpotent_note(self, a, b, r, index):
+        u = linear(a, b)
+        outcome = decide_nilpotency(u, r)
+        assert outcome.index == index
+        v = classify_Sr_linear(u, r)
+        expect(v, False, citation="Thm4" if r > 0 else "Cor4")
+        assert v.note == f"nilpotent at {r} (index {index}), hence not strictly local"
+
     def test_slope_item(self):
         expect(classify_Sr_linear(linear(-2, 6), 6), True, STRICTLY_LOCAL,
                citation="Thm4.3")

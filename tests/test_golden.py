@@ -4,15 +4,18 @@ leave byte-identical.
 Each digest covers a canonical JSON rendering (sorted keys, wall times
 dropped). The digests were recorded from the code before the closed-form
 residue answers, the certificate-free residue walk and the one-evaluation
-Thm1 check landed, and the orbit and verdict digests before the inline
-orbit loop; a change that moves one of them changes an answer, not only
-how fast it comes.
+Thm1 check landed, the orbit and verdict digests before the inline
+orbit loop, and the trap digests before the first hits became a view; a
+change that moves one of them changes an answer, not only how fast it
+comes.
 
 To record them again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from itertools import product
@@ -27,8 +30,11 @@ from polyorbit import (
     decide_nilpotency,
     first_refuting_prime,
     lemma1_witnesses,
+    primes_up_to,
+    trap_first_hits,
     verify_theorem,
 )
+from polyorbit.cli import main
 from polyorbit.modular import LemmaPreconditionError
 
 # The exhaustive-sweep boxes: (degree, coeff_bound, prime_bound, r).
@@ -53,6 +59,8 @@ LEMMA1_DIGEST = "c1a208a9342cb1ba4bbe8ab988703b9b34aba30bf9f40ebe7856f6523a7e4d0
 REFUTING_DIGEST = "9d621cc2b3caf398d7a2d551c2ce8db8273a7c544c39fc25bea5acee5f51d8bd"
 ORBIT_DIGEST = "573685e6edd25b8befc884eef6e56735dcdd3fd163138fb464fd55cd628b52aa"
 VERDICT_DIGEST = "ce424d607df6a30b765739a83e66535016e61456c08427cf1754582e660a9e4c"
+TRAP_HITS_DIGEST = "cab5e37c13de0d656cf2b1988506e81eedcabe9f4f52a0f9329837af30bce35c"
+TRAP_COMMAND_DIGEST = "4b8d3901b2eca48d97ea980ebdfabc5ea86d70003c8b477fd4832b3a6b895401"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -168,6 +176,22 @@ def verdict_digest() -> str:
     return _digest(rows)
 
 
+def trap_hits_digest() -> str:
+    """Every (point, first hit) pair of trap_first_hits, in its iteration
+    order, for every prime up to 101."""
+    return _digest([[p, list(trap_first_hits(p).items())] for p in primes_up_to(101)])
+
+
+def trap_command_digest() -> str:
+    """The `trap --primes 101 --output json` document without its timings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["trap", "--primes", "101", "--output", "json"])
+    doc = json.loads(out.getvalue())
+    del doc["timings"]
+    return _digest([code, doc])
+
+
 @pytest.mark.parametrize("box", BOXES, ids=[f"deg{d}-c{c}-p{p}-r{r}" for d, c, p, r in BOXES])
 def test_exhaustive_sweep_box_reports(box):
     assert box_digest(*box) == BOX_DIGESTS[box]
@@ -193,6 +217,14 @@ def test_classify_verdicts():
     assert verdict_digest() == VERDICT_DIGEST
 
 
+def test_trap_first_hits_items():
+    assert trap_hits_digest() == TRAP_HITS_DIGEST
+
+
+def test_trap_command_document():
+    assert trap_command_digest() == TRAP_COMMAND_DIGEST
+
+
 if __name__ == "__main__":
     print("BOX_DIGESTS = {")
     for box in BOXES:
@@ -203,3 +235,5 @@ if __name__ == "__main__":
     print(f"REFUTING_DIGEST = \"{refuting_digest()}\"")
     print(f"ORBIT_DIGEST = \"{orbit_digest()}\"")
     print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")
+    print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
+    print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")

@@ -1,6 +1,7 @@
 """The additive-trap map over F_p, verified exhaustively per prime."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -207,3 +208,59 @@ def test_nilpotence_reads_no_point_keyed_dict(p, monkeypatch):
         raise AssertionError("trap_first_hits called")
     monkeypatch.setattr("polyorbit.trap.trap_first_hits", keyed)
     assert verify_trap_nilpotence(p)
+
+
+class TestFirstHitsView:
+    """trap_first_hits answers with a read-only mapping over the flat hit
+    list that reads like the dict of the same items."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 31])
+    def test_reads_like_the_plain_walk_dict(self, p):
+        got = trap_first_hits(p)
+        want = _walk_first_hits(p)
+        assert got == want and want == got
+        assert len(got) == len(want)
+        assert list(got) == list(want)
+        assert list(got.keys()) == list(want.keys())
+        assert list(got.values()) == list(want.values())
+        assert list(got.items()) == list(want.items())
+        assert all(got[key] == n and key in got for key, n in want.items())
+        assert len(got.values()) == len(got.items()) == p * p
+
+    def test_repr_is_the_same_for_equal_answers(self):
+        assert repr(trap_first_hits(7)) == repr(trap_first_hits(7))
+        assert repr(trap_first_hits(7)) != repr(trap_first_hits(5))
+        assert " at 0x" not in repr(trap_first_hits(2))
+
+    @pytest.mark.parametrize("key", [(7, 0), (-1, 0), (0, 7), (0, -1), (7, 7)])
+    def test_points_off_the_plane_are_absent(self, key):
+        hits = trap_first_hits(7)
+        with pytest.raises(KeyError):
+            hits[key]
+        assert key not in hits
+        assert hits.get(key, "absent") == "absent"
+
+    @pytest.mark.parametrize("key", [5, (1,), "a", "ab", (0, 0, 0), None])
+    def test_malformed_keys_are_absent(self, key):
+        hits = trap_first_hits(7)
+        assert key not in hits
+        assert hits.get(key) is None
+        assert hits.get(key, -1) == -1
+
+    def test_item_assignment_refused(self):
+        hits = trap_first_hits(5)
+        with pytest.raises(TypeError):
+            hits[(1, 1)] = 0
+        with pytest.raises(TypeError):
+            del hits[(1, 1)]
+        assert hits[(1, 1)] == _walk_first_hits(5)[(1, 1)]
+
+    def test_holds_one_flat_list(self):
+        tracemalloc.start()
+        try:
+            hits = trap_first_hits(211, cap=211)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 211 * 211
+        assert held < 2**20, f"{held} bytes held"
