@@ -26,14 +26,15 @@ from math import prod
 from typing import Callable
 
 from .modular import PrimeSet, _as_prime_set, _linear_exponent, _linear_member
-from .orbits import OrbitKind, OrbitOutcome, check_caps, decide_nilpotency
+from .orbits import (_EXHAUSTED, _REACHED_ZERO, OrbitOutcome, check_caps,
+                     decide_nilpotency)
 from .polynomials import Polynomial, linear
 
 NILPOTENT = "nilpotent"
 STRICTLY_LOCAL = "strictly-local"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Classification result.
 
@@ -44,6 +45,12 @@ class Verdict:
     catalog item that settled it. orbit is the integer orbit outcome
     when the dispatcher decided it to reach the verdict (|r| >= 2 with
     empty A), and None otherwise.
+
+    A verdict stays a frozen dataclass, so dataclasses.fields, asdict and
+    replace keep working and a subclass may extend __init__. One is built
+    for every harness candidate, so __init__ is written by hand: it has
+    the generated signature and stores all seven fields in one __dict__
+    assignment instead of seven frozen setattr calls.
     """
 
     decidable: bool
@@ -53,6 +60,21 @@ class Verdict:
     citation: str = ""
     note: str = ""
     orbit: OrbitOutcome | None = None
+
+    def __init__(
+        self,
+        decidable: bool,
+        member: bool | None,
+        subclass: str | None = None,
+        index: int | None = None,
+        citation: str = "",
+        note: str = "",
+        orbit: OrbitOutcome | None = None,
+    ) -> None:
+        object.__setattr__(self, "__dict__", {
+            "decidable": decidable, "member": member, "subclass": subclass,
+            "index": index, "citation": citation, "note": note, "orbit": orbit,
+        })
 
     @property
     def result(self) -> str | None:
@@ -322,9 +344,10 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
         if r == 0:
             return classify_L0(u)
         outcome = decide_nilpotency(u, r, **caps)
-        if outcome.kind is OrbitKind.REACHED_ZERO:
+        kind = outcome.kind
+        if kind is _REACHED_ZERO:
             return Verdict(True, True, NILPOTENT, outcome.index, "Def.N", orbit=outcome)
-        if outcome.kind is OrbitKind.EXHAUSTED:
+        if kind is _EXHAUSTED:
             note = f"orbit of {u} at {r} undecided at the resource caps"
             return Verdict(False, None, note=note, orbit=outcome)
         degree = len(coeffs) - 1

@@ -404,6 +404,22 @@ def _flat(value) -> str:
     return str(value)
 
 
+def _render(doc: dict, args: argparse.Namespace) -> tuple[str | None, str]:
+    """(the JSON text for --out, or None without --out; the text for
+    stdout), both rendered before anything is written. An integer too long
+    for str() ends as a budget error, so it leaves neither a traceback nor
+    a truncated --out file."""
+    try:
+        text = json.dumps(doc, indent=2) if args.out or args.output == "json" else None
+        shown = text if args.output == "json" else _render_human(doc)
+    except ValueError:  # the interpreter's integer string conversion limit
+        raise BudgetExceededError(
+            f"the report holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
+    return text, shown
+
+
 def _merge_poly_flag(argv: list[str]) -> list[str]:
     # "-u -2x-1" would parse as two flags; fold the value into --poly=...
     out = []
@@ -434,6 +450,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         code, doc = run(args)
+        text, shown = _render(doc, args)
     except (UsageError, PolynomialSyntaxError, ReductionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -443,14 +460,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
         except OSError as exc:
             reason = exc.strerror or exc
             print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
             return EXIT_USAGE
     try:  # a reader that closed the pipe early has all it wanted
-        print(json.dumps(doc, indent=2) if args.output == "json" else _render_human(doc))
+        print(shown)
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at devnull so that the flush at exit cannot raise again.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polynomials import Polynomial
 
@@ -41,9 +42,8 @@ class OrbitKind(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class OrbitOutcome:
-    """Result of the integer-orbit analysis.
+class OrbitOutcome(NamedTuple):
+    """Result of the integer-orbit analysis: a tuple of its five fields.
 
     index is set iff kind is REACHED_ZERO and is the minimal n with
     u^(n)(r) = 0.
@@ -55,6 +55,10 @@ class OrbitOutcome:
 
     escape_data is (step, value, bound): |value| >= bound at that step and
     |u(x)| > |x| holds from there on, so absolute values increase forever.
+
+    An outcome is built for every candidate of a harness box, so it costs
+    a tuple: it equals (kind, steps_used, index, cycle_witness,
+    escape_data), unpacks, and copies with _replace and _asdict.
     """
 
     kind: OrbitKind
@@ -62,6 +66,14 @@ class OrbitOutcome:
     index: int | None = None
     cycle_witness: tuple[int, tuple[int, ...]] | None = None
     escape_data: tuple[int, int, int] | None = None
+
+
+# The members, bound once: each OrbitKind.X lookup goes through the enum
+# metaclass, and the harness makes several per candidate.
+_REACHED_ZERO = OrbitKind.REACHED_ZERO
+_CYCLE = OrbitKind.CYCLE
+_ESCAPED = OrbitKind.ESCAPED
+_EXHAUSTED = OrbitKind.EXHAUSTED
 
 
 @dataclass(frozen=True)
@@ -135,29 +147,27 @@ def _linear_slope_one(b: int, r: int) -> OrbitOutcome:
     # Orbit r + n*b: hits 0 iff n = -r/b is a positive integer.
     if b == 0:
         if r == 0:
-            return OrbitOutcome(OrbitKind.REACHED_ZERO, steps_used=1, index=1)
-        return OrbitOutcome(OrbitKind.CYCLE, steps_used=1, cycle_witness=(0, (r,)))
+            return OrbitOutcome(_REACHED_ZERO, 1, 1)
+        return OrbitOutcome(_CYCLE, 1, None, (0, (r,)))
     n, rem = divmod(-r, b)
     if rem == 0 and n >= 1:
-        return OrbitOutcome(OrbitKind.REACHED_ZERO, steps_used=n, index=n)
+        return OrbitOutcome(_REACHED_ZERO, n, n)
     # Never zero. Once the value has the sign of b, |values| grow strictly.
     k = max(1, (-r) // b + 1)
     value = r + k * b
-    return OrbitOutcome(
-        OrbitKind.ESCAPED, steps_used=k, escape_data=(k, value, abs(value))
-    )
+    return OrbitOutcome(_ESCAPED, k, None, None, (k, value, abs(value)))
 
 
 def _linear_slope_minus_one(b: int, r: int) -> OrbitOutcome:
     # Orbit alternates u(r) = b-r, u^(2)(r) = r.
     first = b - r
     if first == 0:
-        return OrbitOutcome(OrbitKind.REACHED_ZERO, steps_used=1, index=1)
+        return OrbitOutcome(_REACHED_ZERO, 1, 1)
     if r == 0:
-        return OrbitOutcome(OrbitKind.REACHED_ZERO, steps_used=2, index=2)
+        return OrbitOutcome(_REACHED_ZERO, 2, 2)
     if first == r:
-        return OrbitOutcome(OrbitKind.CYCLE, steps_used=1, cycle_witness=(0, (r,)))
-    return OrbitOutcome(OrbitKind.CYCLE, steps_used=2, cycle_witness=(0, (r, first)))
+        return OrbitOutcome(_CYCLE, 1, None, (0, (r,)))
+    return OrbitOutcome(_CYCLE, 2, None, (0, (r, first)))
 
 
 def decide_nilpotency(
@@ -176,21 +186,22 @@ def decide_nilpotency(
 
     The coefficients are read once, and the orbit is stepped by Horner's
     rule inline over them, highest first: one evaluation a step, with no
-    method call.
+    method call. Outcomes are built positionally from the bound kinds.
     """
     if max_steps < 1 or max_bits < 1:
         check_caps(max_steps=max_steps, max_bits=max_bits)
     coeffs = u.coeffs
     if not coeffs:
         raise ValueError("nilpotency is defined only for nonzero polynomials")
-    if len(coeffs) == 1:
+    size = len(coeffs)
+    if size == 1:
         c = coeffs[0]  # orbit is c, c, ...; c != 0 since u is nonzero
         if c == r:
-            return OrbitOutcome(OrbitKind.CYCLE, steps_used=1, cycle_witness=(0, (c,)))
-        return OrbitOutcome(OrbitKind.CYCLE, steps_used=2, cycle_witness=(1, (c,)))
-    if len(coeffs) == 2 and coeffs[1] == 1:
+            return OrbitOutcome(_CYCLE, 1, None, (0, (c,)))
+        return OrbitOutcome(_CYCLE, 2, None, (1, (c,)))
+    if size == 2 and coeffs[1] == 1:
         return _linear_slope_one(coeffs[0], r)
-    if len(coeffs) == 2 and coeffs[1] == -1:
+    if size == 2 and coeffs[1] == -1:
         return _linear_slope_minus_one(coeffs[0], r)
 
     bound = _escape_bound(u)
@@ -203,33 +214,27 @@ def decide_nilpotency(
             acc = acc * x + c
         x = acc
         if x == 0:
-            return OrbitOutcome(OrbitKind.REACHED_ZERO, steps_used=n, index=n)
+            return OrbitOutcome(_REACHED_ZERO, n, n)
         if abs(x) >= bound:
-            return OrbitOutcome(
-                OrbitKind.ESCAPED, steps_used=n, escape_data=(n, x, bound)
-            )
+            return OrbitOutcome(_ESCAPED, n, None, None, (n, x, bound))
         if x.bit_length() > max_bits:
-            return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=n)
+            return OrbitOutcome(_EXHAUSTED, n)
         hit = seen.get(x)
         if hit is not None:
-            return OrbitOutcome(
-                OrbitKind.CYCLE,
-                steps_used=n,
-                cycle_witness=(hit, tuple(seen)[hit:]),
-            )
+            return OrbitOutcome(_CYCLE, n, None, (hit, tuple(seen)[hit:]))
         if len(seen) >= MAX_SEEN_DEFAULT:
-            return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=n)
+            return OrbitOutcome(_EXHAUSTED, n)
         seen[x] = n
-    return OrbitOutcome(OrbitKind.EXHAUSTED, steps_used=max_steps)
+    return OrbitOutcome(_EXHAUSTED, max_steps)
 
 
 def nilpotency_index(u: Polynomial, r: int, **caps) -> int | None:
     """Minimal n with u^(n)(r) = 0, or None when the orbit provably never
     reaches 0. Raises UndecidedError if the decision was Exhausted."""
     outcome = decide_nilpotency(u, r, **caps)
-    if outcome.kind is OrbitKind.REACHED_ZERO:
+    if outcome.kind is _REACHED_ZERO:
         return outcome.index
-    if outcome.kind is OrbitKind.EXHAUSTED:
+    if outcome.kind is _EXHAUSTED:
         raise UndecidedError(
             f"orbit of {u} at {r} undecided after {outcome.steps_used} steps"
         )

@@ -29,12 +29,16 @@ from .classify import (
 from .modular import (PrimeSet, _as_prime_set, _primes_divide,  # noqa: F401
                       certify_local, check_prime_bound, factorize,
                       first_refuting_prime)
-from .orbits import (BudgetExceededError, OrbitKind, OrbitOutcome, check_caps,
+from .orbits import (_CYCLE, _ESCAPED, _EXHAUSTED, _REACHED_ZERO,
+                     BudgetExceededError, OrbitOutcome, check_caps,
                      decide_nilpotency)
 from .polynomials import DEGREE_MAX, Polynomial, linear
 
 CANDIDATE_BUDGET_DEFAULT = 10**7
 EXACT_COUNT_BITS = 2**16  # the largest box count an over-budget message computes
+
+# The outcomes that never reach 0, so a residue orbit may refute them.
+_NEVER_ZERO = (_CYCLE, _ESCAPED)
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def _evidence(
     verdict = classify(u, r, A, **caps)
     outcome = verdict.orbit or decide_nilpotency(u, r, **caps)
     refuted_at = None
-    if verdict.decidable and outcome.kind in (OrbitKind.CYCLE, OrbitKind.ESCAPED):
+    if verdict.decidable and outcome.kind in _NEVER_ZERO:
         refuted_at = first_refuting_prime(u, r, A, prime_bound)
     return verdict, outcome, refuted_at
 
@@ -162,7 +166,7 @@ def _findings(
     if not v.decidable:
         return ["classifier undecidable inside an exact-theorem space"]
     found = []
-    if outcome.kind is OrbitKind.REACHED_ZERO:
+    if outcome.kind is _REACHED_ZERO:
         if not v.member:
             found.append(
                 f"orbit reaches 0 at step {outcome.index} but classified non-member")
@@ -233,7 +237,8 @@ def verify_theorem(
         totals[_verdict_label(v)] += 1
         if v.decidable:
             citations[v.citation] += 1
-        if outcome.kind is OrbitKind.EXHAUSTED:
+        kind = outcome.kind
+        if kind is _EXHAUSTED:
             review_flags.append(
                 {"poly": str(u), "reason": "orbit undecided at resource caps"}
             )
@@ -243,12 +248,12 @@ def verify_theorem(
             poly, summary = str(u), _verdict_summary(v)
             discrepancies.extend(Discrepancy(poly, summary, f) for f in findings)
         if (v.decidable and not v.member and refuted_at is None
-                and outcome.kind is not OrbitKind.REACHED_ZERO):
+                and kind is not _REACHED_ZERO):
             review_flags.append(
                 {
                     "poly": str(u),
                     "reason": f"classified non-member but consistent up to "
-                              f"{space.prime_bound}; orbit {outcome.kind.value}",
+                              f"{space.prime_bound}; orbit {kind.value}",
                 }
             )
     return SearchReport(
@@ -286,9 +291,9 @@ def explore_N_of_u(u: Polynomial, r_bound: int, **caps) -> list[tuple[int, int |
     found = []
     for r in _window(u, r_bound):
         outcome = decide_nilpotency(u, r, **caps)
-        if outcome.kind is OrbitKind.REACHED_ZERO:
+        if outcome.kind is _REACHED_ZERO:
             found.append((r, outcome.index))
-        elif outcome.kind is OrbitKind.EXHAUSTED:
+        elif outcome.kind is _EXHAUSTED:
             found.append((r, None))
     return found
 
@@ -323,10 +328,10 @@ def explore_LN_of_u(
     entries = []
     for r in window:
         verdict, outcome, refuted_at = _evidence(u, r, None, prime_bound, caps)
-        if outcome.kind is OrbitKind.EXHAUSTED:
+        if outcome.kind is _EXHAUSTED:
             entries.append(LocalStatusEntry(r, "undecided"))
             continue
-        if outcome.kind is OrbitKind.REACHED_ZERO:
+        if outcome.kind is _REACHED_ZERO:
             found = {"status": "nilpotent", "index": outcome.index,
                      "exact_member": True}
         elif refuted_at is not None:

@@ -3,6 +3,8 @@ orbit engine and the residue certificates."""
 
 import dataclasses
 import importlib
+import inspect
+import pickle
 import random
 from itertools import product
 
@@ -325,6 +327,59 @@ class TestVerdictOrbit:
                 assert classify(u, r).orbit is None
             for r in range(-4, 5):
                 assert classify(u, r, PrimeSet([2])).orbit is None
+
+
+class TestVerdictContract:
+    """A verdict is a frozen dataclass whose __init__ is written by hand:
+    its fields, signature, equality, hashing, immutability and copies."""
+
+    FIELDS = (("decidable", dataclasses.MISSING), ("member", dataclasses.MISSING),
+              ("subclass", None), ("index", None), ("citation", ""), ("note", ""),
+              ("orbit", None))
+
+    def test_fields_keep_names_order_and_defaults(self):
+        fields = dataclasses.fields(Verdict)
+        assert tuple((f.name, f.default) for f in fields) == self.FIELDS
+        assert all(f.init for f in fields)
+
+    def test_signature_matches_the_fields(self):
+        params = inspect.signature(Verdict).parameters.values()
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+        empty = {inspect.Parameter.empty: dataclasses.MISSING}
+        assert tuple((p.name, empty.get(p.default, p.default))
+                     for p in params) == self.FIELDS
+
+    def test_positional_and_keyword_construction(self):
+        outcome = decide_nilpotency(linear(-1, 5), 2)
+        args = (True, False, None, None, "Thm4", "a note", outcome)
+        positional = Verdict(*args)
+        keyword = Verdict(**{name: value for (name, _), value in zip(self.FIELDS, args)})
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert positional.orbit is outcome and positional.note == "a note"
+        short = Verdict(False, None)
+        assert short == Verdict(False, None, None, None, "", "", None)
+        assert hash(short) == hash(Verdict(decidable=False, member=None))
+        assert (short.subclass, short.index, short.citation, short.note,
+                short.orbit) == (None, None, "", "", None)
+
+    def test_fields_cannot_be_assigned(self):
+        v = classify(linear(2, 6), 6)
+        for name, _ in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, None)
+        assert v == classify(linear(2, 6), 6)
+
+    def test_pickle_and_replace_round_trip(self):
+        for u, r in ((linear(2, 6), 6), (parse_poly("x^2+1"), 2), (linear(1, 1), 1),
+                     (parse_poly("x^2"), 3)):
+            v = classify(u, r)
+            assert pickle.loads(pickle.dumps(v)) == v
+            assert dataclasses.replace(v) == v
+            moved = dataclasses.replace(v, citation="X", orbit=None)
+            assert (moved.citation, moved.orbit) == ("X", None)
+            assert dataclasses.replace(moved, citation=v.citation, orbit=v.orbit) == v
+        v = classify(linear(1, 1), 5, PrimeSet([2]))
+        assert pickle.loads(pickle.dumps(v)) == v and not v.decidable
 
 
 class TestOneVerdictPerCall:

@@ -453,6 +453,28 @@ class TestCapsAndBounds:
             f"integer conversion limit (at position {position})" in err
 
 
+class TestLargeIntegerReports:
+    """x^2 - 10^4000 escapes from 0 at step 2 with a value of 8,001 digits,
+    more than str() converts: the decided report cannot be printed, so it
+    ends as a budget error before anything is written."""
+
+    ARGV = ("orbit", "-u", "x^2-1" + "0" * 4000, "-r", "0")
+
+    @pytest.mark.parametrize("mode", ["json", "human"])
+    def test_report_too_long_to_print_is_budget_exhausted(self, capsys, mode):
+        code, out, err = run_cli(capsys, *self.ARGV, "--output", mode)
+        assert code == EXIT_UNDECIDED and out == ""
+        assert err.startswith("budget exhausted: the report holds an integer of more "
+                              f"than {sys.get_int_max_str_digits()} digits")
+
+    def test_no_out_file_is_written(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *self.ARGV, "--out", str(path))
+        assert code == EXIT_UNDECIDED and out == ""
+        assert err.startswith("budget exhausted: ")
+        assert not path.exists()
+
+
 class TestExcludedPrimes:
     """Each -A entry is trial-divided once, in input order."""
 

@@ -5,9 +5,10 @@ Each digest covers a canonical JSON rendering (sorted keys, wall times
 dropped). The digests were recorded from the code before the closed-form
 residue answers, the certificate-free residue walk and the one-evaluation
 Thm1 check landed, the orbit and verdict digests before the inline
-orbit loop, and the trap digests before the first hits became a view; a
-change that moves one of them changes an answer, not only how fast it
-comes.
+orbit loop, the trap digests before the first hits became a view, and
+the explore and capped or excluded-prime box digests before the orbit
+outcome became a tuple; a change that moves one of them changes an
+answer, not only how fast it comes.
 
 To record them again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
@@ -24,12 +25,15 @@ import pytest
 
 from polyorbit import (
     Polynomial,
+    PrimeSet,
     SearchSpace,
     certify_local,
     classify,
     decide_nilpotency,
+    explore_LN_of_u,
     first_refuting_prime,
     lemma1_witnesses,
+    parse_poly,
     primes_up_to,
     trap_first_hits,
     verify_theorem,
@@ -61,6 +65,9 @@ ORBIT_DIGEST = "573685e6edd25b8befc884eef6e56735dcdd3fd163138fb464fd55cd628b52aa
 VERDICT_DIGEST = "ce424d607df6a30b765739a83e66535016e61456c08427cf1754582e660a9e4c"
 TRAP_HITS_DIGEST = "cab5e37c13de0d656cf2b1988506e81eedcabe9f4f52a0f9329837af30bce35c"
 TRAP_COMMAND_DIGEST = "4b8d3901b2eca48d97ea980ebdfabc5ea86d70003c8b477fd4832b3a6b895401"
+EXPLORE_LN_DIGEST = "f350be5d9e9625cce83d5e88936236dea0e246dac686fcaf7ae06b71bae1aa8e"
+EXCLUDED_BOX_DIGEST = "51be56643715a1dd2573e8f6e34d4b98861a0bdb9db6a2d7fe56a8aa20256e58"
+CAPPED_BOX_DIGEST = "9fbc6218a7dd897d4330ab2c68221044e1eb440c4101a44520eecd12e68d5135"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -70,11 +77,36 @@ def _digest(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def box_digest(degree: int, coeff_bound: int, prime_bound: int, r: int) -> str:
-    report = verify_theorem(SearchSpace(degree, coeff_bound, r, prime_bound=prime_bound))
-    doc = report.to_dict()
+def _box_doc(space: SearchSpace, **caps) -> dict:
+    doc = verify_theorem(space, **caps).to_dict()
     del doc["wall_time_s"]
-    return _digest(doc)
+    return doc
+
+
+def box_digest(degree: int, coeff_bound: int, prime_bound: int, r: int) -> str:
+    return _digest(_box_doc(SearchSpace(degree, coeff_bound, r, prime_bound=prime_bound)))
+
+
+def excluded_box_digest() -> str:
+    """The linear box |c| <= 9 at r = 1 outside A = {2, 3}, primes to 200."""
+    return _digest(_box_doc(SearchSpace(1, 9, 1, PrimeSet([2, 3]), prime_bound=200)))
+
+
+def capped_box_digest() -> str:
+    """The quadratic boxes |c| <= 2 at r in {-1, 0, 1} under max_steps=3,
+    where some orbits end EXHAUSTED and are flagged for review."""
+    return _digest([_box_doc(SearchSpace(2, 2, r, prime_bound=100), max_steps=3)
+                    for r in (-1, 0, 1)])
+
+
+_EXPLORE_MAPS = ("2x+6", "x+3", "-x+4", "3x-2", "x-1", "x^2-2", "x^2+1",
+                 "-2x^2+7x-3", "x^3+x+1", "2x^2-x-1")
+
+
+def explore_digest() -> str:
+    """explore_LN_of_u on linear and nonlinear maps, r_bound 12, primes to 200."""
+    return _digest([[text, [e.to_dict() for e in explore_LN_of_u(parse_poly(text), 12, 200)]]
+                    for text in _EXPLORE_MAPS])
 
 
 def _seeded_map(rng: random.Random, max_degree: int, size: int) -> Polynomial:
@@ -225,6 +257,18 @@ def test_trap_command_document():
     assert trap_command_digest() == TRAP_COMMAND_DIGEST
 
 
+def test_explore_LN_entries():
+    assert explore_digest() == EXPLORE_LN_DIGEST
+
+
+def test_box_report_outside_excluded_primes():
+    assert excluded_box_digest() == EXCLUDED_BOX_DIGEST
+
+
+def test_box_reports_under_a_step_cap():
+    assert capped_box_digest() == CAPPED_BOX_DIGEST
+
+
 if __name__ == "__main__":
     print("BOX_DIGESTS = {")
     for box in BOXES:
@@ -237,3 +281,6 @@ if __name__ == "__main__":
     print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")
     print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
     print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")
+    print(f"EXPLORE_LN_DIGEST = \"{explore_digest()}\"")
+    print(f"EXCLUDED_BOX_DIGEST = \"{excluded_box_digest()}\"")
+    print(f"CAPPED_BOX_DIGEST = \"{capped_box_digest()}\"")

@@ -1,11 +1,15 @@
 """Integer-orbit iteration, escape bounds, and the nilpotency decision."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyorbit import (
     BudgetExceededError,
     OrbitKind,
+    OrbitOutcome,
     Polynomial,
     SearchSpace,
     UndecidedError,
@@ -90,6 +94,79 @@ class TestEscapeBound:
         bound = escape_bound(u).bound
         for x in (bound, -bound, 2 * bound, -2 * bound, 10 * bound + 7):
             assert abs(u(x)) > abs(x)
+
+
+class TestOrbitOutcome:
+    """The public contract of an outcome: fields, defaults, repr, tuple
+    behaviour, hashing, immutability and pickling."""
+
+    CYCLE = OrbitOutcome(OrbitKind.CYCLE, 2, None, (1, (3, 5)))
+
+    def test_positional_and_keyword_construction(self):
+        out = OrbitOutcome(OrbitKind.EXHAUSTED, 7)
+        assert out.kind is OrbitKind.EXHAUSTED and out.steps_used == 7
+        assert out.index is None and out.cycle_witness is None
+        assert out.escape_data is None
+        assert OrbitOutcome(OrbitKind.REACHED_ZERO, 3, 3) == OrbitOutcome(
+            kind=OrbitKind.REACHED_ZERO, steps_used=3, index=3)
+        assert self.CYCLE == OrbitOutcome(
+            OrbitKind.CYCLE, steps_used=2, cycle_witness=(1, (3, 5)))
+        assert OrbitOutcome._fields == (
+            "kind", "steps_used", "index", "cycle_witness", "escape_data")
+
+    def test_repr(self):
+        assert repr(decide_nilpotency(parse_poly("x^2-2"), 3)) == (
+            "OrbitOutcome(kind=<OrbitKind.ESCAPED: 'escaped'>, steps_used=2, "
+            "index=None, cycle_witness=None, escape_data=(2, 47, 8))")
+        assert repr(decide_nilpotency(parse_poly("x^2"), 0)) == (
+            "OrbitOutcome(kind=<OrbitKind.REACHED_ZERO: 'reached-zero'>, "
+            "steps_used=1, index=1, cycle_witness=None, escape_data=None)")
+        assert repr(decide_nilpotency(linear(-1, 5), 2)) == (
+            "OrbitOutcome(kind=<OrbitKind.CYCLE: 'cycle'>, steps_used=2, "
+            "index=None, cycle_witness=(0, (2, 3)), escape_data=None)")
+
+    def test_an_outcome_is_the_tuple_of_its_fields(self):
+        kind, steps, index, witness, escape = self.CYCLE
+        assert self.CYCLE == (OrbitKind.CYCLE, 2, None, (1, (3, 5)), None)
+        assert (kind, steps, index, witness, escape) == tuple(self.CYCLE)
+        out = decide_nilpotency(parse_poly("x^2-2"), 3)
+        assert out == (OrbitKind.ESCAPED, 2, None, None, (2, 47, 8))
+
+    def test_replace_and_asdict(self):
+        assert self.CYCLE._replace(steps_used=4) == OrbitOutcome(
+            OrbitKind.CYCLE, 4, None, (1, (3, 5)))
+        assert self.CYCLE._asdict() == {
+            "kind": OrbitKind.CYCLE, "steps_used": 2, "index": None,
+            "cycle_witness": (1, (3, 5)), "escape_data": None}
+
+    def test_equal_outcomes_hash_equal(self):
+        a = decide_nilpotency(linear(-1, 5), 2)
+        b = OrbitOutcome(OrbitKind.CYCLE, 2, None, (0, (2, 3)))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, self.CYCLE}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        out = OrbitOutcome(OrbitKind.REACHED_ZERO, 1, 1)
+        for field in OrbitOutcome._fields:
+            with pytest.raises(AttributeError):
+                setattr(out, field, 2)
+        assert out == OrbitOutcome(OrbitKind.REACHED_ZERO, 1, 1)
+
+    def test_pickle_round_trip(self):
+        for r in range(-4, 5):
+            for u in (parse_poly("x^2-2"), linear(-1, 5), linear(3, 1)):
+                out = decide_nilpotency(u, r)
+                assert pickle.loads(pickle.dumps(out)) == out
+        out = decide_nilpotency(parse_poly("x^2-2"), 0, max_steps=1)
+        assert pickle.loads(pickle.dumps(out)) == (OrbitKind.EXHAUSTED, 1, None, None, None)
+
+    def test_verdict_asdict_nests_the_outcome_fields(self):
+        v = classify(parse_poly("x^2+1"), 2)
+        nested = dataclasses.asdict(v)["orbit"]
+        assert nested == v.orbit == (OrbitKind.ESCAPED, 2, None, None, (2, 26, 6))
+        assert nested._asdict() == v.orbit._asdict()
+        assert dataclasses.asdict(classify(linear(-1, 5), 2))["orbit"] == (
+            OrbitKind.CYCLE, 2, None, (0, (2, 3)), None)
 
 
 class TestDecideNilpotency:
