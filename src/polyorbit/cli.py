@@ -278,8 +278,20 @@ def _lemma1_result(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _reduce_result(args: argparse.Namespace) -> tuple[int, dict]:
-    reduced = args.poly.reduce_at(args.r)
-    return EXIT_OK, {"poly": str(args.poly), "r": args.r, "reduced": str(reduced)}
+    u, r = args.poly, args.r
+    # The leading coefficient of u(r*x)/r is a multiple of r^(degree - 1), of
+    # at least (degree - 1)*(bits(r) - 1) + 1 bits. Past log2(10) < 3.322 bits
+    # a digit, str() could not print it: refuse it before computing it.
+    if (r > 1 and u.constant % r == 0 and (u.degree or 1) > 1
+            and (u.degree - 1) * (r.bit_length() - 1) * 1000
+            >= 3322 * sys.get_int_max_str_digits()):
+        raise _too_long_to_print()
+    reduced = u.reduce_at(r)
+    try:
+        text = str(reduced)
+    except ValueError:  # the interpreter's integer string conversion limit
+        raise _too_long_to_print() from None
+    return EXIT_OK, {"poly": str(u), "r": r, "reduced": text}
 
 
 _HANDLERS = {
@@ -413,11 +425,15 @@ def _render(doc: dict, args: argparse.Namespace) -> tuple[str | None, str]:
         text = json.dumps(doc, indent=2) if args.out or args.output == "json" else None
         shown = text if args.output == "json" else _render_human(doc)
     except ValueError:  # the interpreter's integer string conversion limit
-        raise BudgetExceededError(
-            f"the report holds an integer of more than "
-            f"{sys.get_int_max_str_digits()} digits, too long to print"
-        ) from None
+        raise _too_long_to_print() from None
     return text, shown
+
+
+def _too_long_to_print() -> BudgetExceededError:
+    return BudgetExceededError(
+        f"the report holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, too long to print"
+    )
 
 
 def _merge_poly_flag(argv: list[str]) -> list[str]:

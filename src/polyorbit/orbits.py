@@ -11,6 +11,12 @@ u(r), u(u(r)), ...:
 
 For slope +-1 linear maps, where no escape bound exists, closed forms
 decide instead. Exhausted is only ever produced by resource caps.
+
+A revisit needs no record of the orbit: every cycle of a map in Z[x] has
+length 1 or 2 (W. Narkiewicz, Polynomial Mappings, Lecture Notes in
+Mathematics 1600, Springer, 1995), so the first value that repeats is the
+value one or two steps back, and the cycle witness follows from the step
+count. The search keeps only the last two values, whatever its length.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .polynomials import Polynomial
 
 MAX_STEPS_DEFAULT = 10**6
 MAX_BITS_DEFAULT = 10**6
-MAX_SEEN_DEFAULT = 10**5
 
 
 class BudgetExceededError(RuntimeError):
@@ -206,9 +211,9 @@ def decide_nilpotency(
 
     bound = _escape_bound(u)
     highest_first = coeffs[::-1]
-    seen = {r: 0}  # the orbit so far, in insertion order
-    x = r
+    back2, back1, x = None, None, r  # a repeat is one of the last two values
     for n in range(1, max_steps + 1):
+        back2, back1 = back1, x
         acc = 0
         for c in highest_first:
             acc = acc * x + c
@@ -219,12 +224,10 @@ def decide_nilpotency(
             return OrbitOutcome(_ESCAPED, n, None, None, (n, x, bound))
         if x.bit_length() > max_bits:
             return OrbitOutcome(_EXHAUSTED, n)
-        hit = seen.get(x)
-        if hit is not None:
-            return OrbitOutcome(_CYCLE, n, None, (hit, tuple(seen)[hit:]))
-        if len(seen) >= MAX_SEEN_DEFAULT:
-            return OrbitOutcome(_EXHAUSTED, n)
-        seen[x] = n
+        if x == back1:
+            return OrbitOutcome(_CYCLE, n, None, (n - 1, (x,)))
+        if x == back2:
+            return OrbitOutcome(_CYCLE, n, None, (n - 2, (x, back1)))
     return OrbitOutcome(_EXHAUSTED, max_steps)
 
 

@@ -117,8 +117,8 @@ class Polynomial:
             raise ReductionError(f"r={r} does not divide the constant term {c0}")
         if self.is_zero():
             return self
-        return Polynomial(
-            [c0 // r] + [c * r ** (i - 1) for i, c in enumerate(self.coeffs) if i >= 1]
+        return Polynomial(  # a zero coefficient costs no power of r
+            [c0 // r] + [c and c * r ** (i - 1) for i, c in enumerate(self.coeffs) if i >= 1]
         )
 
     # -- arithmetic ----------------------------------------------------------

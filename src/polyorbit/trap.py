@@ -1,21 +1,27 @@
 """The bivariate map F(x,y) = (x^2*y, x^2*y + x*y^2) over F_p.
 
-Exhaustively verified facts, per prime: (0,0) is the unique fixed point,
-and every one of the p^2 starting points lands on (0,0) within p steps
-(so the p-th iterate is identically (0,0)). Any point with a zero
-coordinate maps to (0,0) in one step; for the rest the coordinate ratio
-y/x increases by exactly 1 per step, which is why p steps always suffice.
+Ratio lemma. A point with a zero coordinate maps to (0,0), which is
+fixed: both coordinates of F(x, y) carry the factor x*y. For x, y != 0,
+let t = y/x. Then F(x, y) = (x^2*y, x^2*y*(1 + t)): its first coordinate
+is nonzero, its ratio is t + 1, and its second coordinate is 0 exactly
+when t = -1. So the k-th iterate keeps both coordinates nonzero, with
+ratio t + k, until t + k = -1, at k0 = (-1 - t) mod p in [0, p-2]; the
+iterate k0 + 1 lies on the x-axis away from (0,0), and the iterate k0 + 2
+is (0,0). Hence:
 
-Both kernels step every one of the p^2 points on each call; that stepping
-is the verification, so nothing is cached between calls. The first-hit
-search steps each point once, into one flat successor table indexed by
-x*p + y, and then walks that table, stopping each walk at the first point
-already known. Its answer is one flat list of p^2 small ints, read through
-FirstHits, a read-only mapping from (x, y) to the hit at x*p + y that
-builds no point tuples; trap_first_hits returns it, and
+* the first hit of (0,0) is 1 when x = 0 or y = 0, and otherwise
+  ((-1 - y/x) mod p) + 2, which lies in [2, p];
+* the p-th iterate of F is identically (0,0);
+* (0,0) is the only fixed point, since t + 1 != t and every other point
+  with a zero coordinate moves to (0,0).
+
+trap_first_hits builds its answer from the lemma, one flat list of p^2
+small ints indexed by x*p + y, read through FirstHits, a read-only
+mapping from (x, y) to the hit at x*p + y that builds no point tuples;
 verify_trap_nilpotence and the trap command read its values.
 trap_fixed_points scans every point, testing the first coordinate
-x^2*y = x first and the second only where that holds. _step is the
+x^2*y = x first and the second only where that holds, so its answer is
+checked against the lemma rather than taken from it. _step is the
 single-point formula that trap_step applies.
 """
 
@@ -62,7 +68,7 @@ def trap_step(pt: TrapPoint) -> TrapPoint:
 
 
 def check_trap_budget(bound: int) -> None:
-    """Refuse a prime above TRAP_CAP_MAX: the checks walk p^2 points."""
+    """Refuse a prime above TRAP_CAP_MAX: the checks answer p^2 points."""
     if bound > TRAP_CAP_MAX:
         raise BudgetExceededError(
             f"trap bound {bound} exceeds the budget of {TRAP_CAP_MAX} "
@@ -78,42 +84,17 @@ def _check_prime_cap(p: int, cap: int) -> None:
         raise ValueError(f"p={p} exceeds the cap {cap} (p^2 points)")
 
 
-def _successors(p: int) -> list[int]:
-    """The flat index x*p + y of F(x, y) for every point, listed in flat
-    index order, with x^2 reduced once per row."""
-    return [a * p + (a + x * y * y) % p
-            for x in range(p) for xx in (x * x % p,)
-            for y in range(p) for a in (xx * y % p,)]
+def _first_hits(p: int) -> list[int]:
+    """The first hit of every point, listed in flat index order x*p + y,
+    by the ratio lemma: 1 when x or y is 0, else ((-1 - y/x) mod p) + 2.
 
-
-def _first_hits(nxt: list[int], p: int) -> list[int]:
-    """For every index i of the successor table nxt, the first n in 1..p at
-    which the n-th successor of i is index 0, or 0 if there is none.
-
-    hit(i) = 1 when nxt[i] = 0, else 1 + hit(nxt[i]), so each index is
-    stepped once and its walk stops at the first index already known."""
-    counts = list(range(1, p + 1))  # counts[n] = n + 1: hits share p ints
-    hits = [None] * len(nxt)
-    for start in range(len(nxt)):
-        if hits[start] is not None:
-            continue
-        path, i = [], start
-        while hits[i] is None:
-            hits[i] = 0  # a revisit within this walk is a cycle missing 0
-            path.append(i)
-            i = nxt[i]
-            if i == 0:
-                steps = 0
-                break
-        else:
-            steps = hits[i]
-            if not steps:  # joined a point with no hit within p steps
-                continue
-        for i in reversed(path):
-            if steps >= p:  # this point and those before it take over p steps
-                break
-            hits[i] = steps = counts[steps]
-    return hits
+    The p possible values are built once, as a table indexed by the ratio
+    t = y/x (t = 0 stands for y = 0, and row x = 0 reads t = 0 too), so the
+    p^2 entries share those p int objects."""
+    by_ratio = [1] + [(-1 - t) % p + 2 for t in range(1, p)]
+    return [by_ratio[y * inv % p]
+            for x in range(p) for inv in (pow(x, -1, p) if x else 0,)
+            for y in range(p)]
 
 
 class _HitValues(ValuesView):
@@ -169,25 +150,20 @@ class FirstHits(Mapping[tuple[int, int], int]):
         return f"FirstHits({self.p}, {self._hits!r})"
 
 
-def _hit_view(p: int) -> FirstHits:
-    return FirstHits(p, _first_hits(_successors(p), p))  # the table is freed here
-
-
 def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> FirstHits:
     """For every start point (x, y), the first step n >= 1 at which the n-th
-    iterate is (0,0); a value of 0 marks a point that never got there
-    within p steps (which the exhaustive checks show never happens). The
+    iterate is (0,0), from the ratio lemma; every value lies in [1, p]. The
     answer is a read-only Mapping[tuple[int, int], int] over one flat list
     of p^2 ints (see FirstHits), equal to the dict of the same items."""
     _check_prime_cap(p, cap)
-    return _hit_view(p)
+    return FirstHits(p, _first_hits(p))
 
 
 def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
     """True iff all p^2 points reach (0,0) within p steps, equivalently the
     p-th iterate of the map is identically (0,0) ((0,0) is absorbing)."""
     _check_prime_cap(p, cap)
-    return all(_hit_view(p).values())
+    return all(_first_hits(p))
 
 
 def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from polyorbit import (
     parse_poly,
     verify_theorem,
 )
+from polyorbit.orbits import MAX_BITS_DEFAULT, MAX_STEPS_DEFAULT
 
 
 class TestIterateValue:
@@ -399,3 +401,63 @@ class TestCapsBelowOne:
             assert "max_steps" not in str(plain.value)
             with pytest.raises(ValueError, match="max_steps must be >= 1"):
                 call(max_steps=0)
+
+
+def _seen_loop(u, r, *, max_steps=MAX_STEPS_DEFAULT, max_bits=MAX_BITS_DEFAULT):
+    """Reference: the search over Z that keeps every orbit value in a dict
+    and reads a cycle back from it, with no use of the period bound. It
+    applies where decide_nilpotency searches: degree >= 2, or a linear map
+    of |slope| >= 2."""
+    bound = escape_bound(u).bound
+    seen = {r: 0}  # the orbit so far, in insertion order
+    x = r
+    for n in range(1, max_steps + 1):
+        x = u(x)
+        if x == 0:
+            return OrbitOutcome(OrbitKind.REACHED_ZERO, n, n)
+        if abs(x) >= bound:
+            return OrbitOutcome(OrbitKind.ESCAPED, n, None, None, (n, x, bound))
+        if x.bit_length() > max_bits:
+            return OrbitOutcome(OrbitKind.EXHAUSTED, n)
+        hit = seen.get(x)
+        if hit is not None:
+            return OrbitOutcome(OrbitKind.CYCLE, n, None, (hit, tuple(seen)[hit:]))
+        seen[x] = n
+    return OrbitOutcome(OrbitKind.EXHAUSTED, max_steps)
+
+
+def _searched_maps(degree, coeff_bound):
+    """Every map of degree <= degree with |c| <= coeff_bound that
+    decide_nilpotency decides by its search, not in closed form."""
+    for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=degree + 1):
+        u = Polynomial(coeffs)
+        if (u.degree or 0) >= 2 or (u.degree == 1 and abs(u.lead) >= 2):
+            yield u
+
+
+class TestAgainstTheSeenLoop:
+    """decide_nilpotency compares each value with the last two only; the
+    period bound says nothing else can repeat first. Every field of every
+    outcome must equal the plain seen-dict search's."""
+
+    @pytest.mark.parametrize("caps", [{}, {"max_steps": 1}, {"max_steps": 3}],
+                             ids=["default-caps", "max-steps-1", "max-steps-3"])
+    def test_every_small_map(self, caps):
+        compared = 0
+        for u in _searched_maps(3, 3):
+            for r in range(-8, 9):
+                assert decide_nilpotency(u, r, **caps) == _seen_loop(u, r, **caps), (u, r)
+                compared += 1
+        assert compared > 30_000
+
+    @pytest.mark.parametrize("text, r, witness, steps", [
+        ("-x^2", -1, (0, (-1,)), 1),           # a fixed point at r
+        ("x^2-x-1", -1, (0, (-1, 1)), 2),      # a 2-cycle through r
+        ("x^2-2", 0, (2, (2,)), 3),            # 0 -> -2 -> 2 -> 2
+        ("x^2-x-1", 2, (1, (1, -1)), 3),       # 2 -> 1 -> -1 -> 1
+    ], ids=["fixed-point-at-r", "two-cycle-through-r", "tail-into-fixed-point",
+            "tail-into-two-cycle"])
+    def test_hand_picked_cycles(self, text, r, witness, steps):
+        u = parse_poly(text)
+        want = OrbitOutcome(OrbitKind.CYCLE, steps, None, witness)
+        assert decide_nilpotency(u, r) == want == _seen_loop(u, r)

@@ -14,7 +14,7 @@ from polyorbit import (
     trap_step,
     verify_trap_nilpotence,
 )
-from polyorbit.trap import TRAP_CAP_MAX, _first_hits, _step, _successors
+from polyorbit.trap import TRAP_CAP_MAX
 
 
 class TestTrapStep:
@@ -82,19 +82,19 @@ def test_ratio_recurrence(p):
             assert new_ratio == (old_ratio + 1) % p
 
 
+def _walk_first_hit(x, y, p):
+    """Reference: the first n in 1..p at which the plain walk from (x, y)
+    is at (0,0), or 0 if it is not there within p steps."""
+    for n in range(1, p + 1):
+        x, y = (x * x * y) % p, (x * x * y + x * y * y) % p
+        if (x, y) == (0, 0):
+            return n
+    return 0
+
+
 def _walk_first_hits(p):
     """Reference: walk every start point separately for at most p steps."""
-    hits = {}
-    for x0 in range(p):
-        for y0 in range(p):
-            x, y, first = x0, y0, 0
-            for n in range(1, p + 1):
-                x, y = (x * x * y) % p, (x * x * y + x * y * y) % p
-                if (x, y) == (0, 0):
-                    first = n
-                    break
-            hits[(x0, y0)] = first
-    return hits
+    return {(x, y): _walk_first_hit(x, y, p) for x in range(p) for y in range(p)}
 
 
 @pytest.mark.parametrize("p", primes_up_to(31))
@@ -103,6 +103,19 @@ def test_first_hits_match_plain_walk(p):
     want = _walk_first_hits(p)
     assert got == want
     assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("p", [211, 499, 997])
+def test_sampled_first_hits_match_plain_walk(p):
+    """Past the exhaustive walk's reach, seeded points are walked one by
+    one: the axes, the longest walk (ratio 1, hit p) and 64 random points."""
+    rng = random.Random(p)
+    points = [(0, 0), (0, p - 1), (p - 1, 0), (1, 1), (1, p - 1), (p - 1, 1)]
+    points += [(rng.randrange(p), rng.randrange(p)) for _ in range(64)]
+    hits = trap_first_hits(p, cap=p)
+    for x, y in points:
+        assert hits[(x, y)] == _walk_first_hit(x, y, p), (x, y)
+    assert hits[(1, 1)] == p
 
 
 class TestTrapBudget:
@@ -145,61 +158,6 @@ def test_fixed_points_match_a_brute_force_scan(p):
     want = [pt for pt in (TrapPoint(x, y, p) for x in range(p) for y in range(p))
             if trap_step(pt) == pt]
     assert trap_fixed_points(p) == want
-
-
-@pytest.mark.parametrize("p", PRIMES_TO_101)
-def test_successor_table_matches_the_step(p):
-    want = [x2y * p + y2 for x2y, y2 in
-            (_step(x, y, p) for x in range(p) for y in range(p))]
-    assert _successors(p) == want
-
-
-def _plain_first_hits(nxt, p):
-    """Reference: walk every index separately for at most p steps."""
-    hits = []
-    for start in range(len(nxt)):
-        i, first = start, 0
-        for n in range(1, p + 1):
-            i = nxt[i]
-            if i == 0:
-                first = n
-                break
-        hits.append(first)
-    return hits
-
-
-class TestFirstHitsWalk:
-    """The memoised walk on successor tables that the trap map never
-    produces: cycles that miss index 0, chains longer than p, and walks
-    that join points already walked, from either side."""
-
-    @pytest.mark.parametrize("nxt, p, want", [
-        # 1 -> 2 -> 3 -> 1 misses 0; 4 joins the cycle after it is walked.
-        ([0, 2, 3, 1, 1], 5, [1, 0, 0, 0, 0]),
-        # 4 -> 3 -> 2 -> 1 -> 0 is walked from its bottom, each walk
-        # joining the one before; 4 is over p = 3.
-        ([0, 0, 1, 2, 3], 3, [1, 1, 2, 3, 0]),
-        # 1 -> 2 -> 3 -> 4 -> 0 is walked from its top in one walk; 1 is
-        # over p = 3.
-        ([0, 2, 3, 4, 0], 3, [1, 0, 3, 2, 1]),
-        # 5 and 6 join 4, which is over p = 3; 7 joins 2 below the cap.
-        ([0, 0, 1, 2, 3, 4, 4, 2], 3, [1, 1, 2, 3, 0, 0, 0, 3]),
-        # index 0 is not fixed: its first hit is its return through 1.
-        ([1, 0, 1], 2, [2, 1, 2]),
-        ([1, 2, 0], 2, [0, 2, 1]),
-    ])
-    def test_hand_made_tables(self, nxt, p, want):
-        assert _plain_first_hits(nxt, p) == want
-        assert _first_hits(nxt, p) == want
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_tables(self, seed):
-        rng = random.Random(seed)
-        for _ in range(25):
-            size = rng.randint(1, 40)
-            nxt = [rng.randrange(size) for _ in range(size)]
-            p = rng.randint(1, size + 2)
-            assert _first_hits(nxt, p) == _plain_first_hits(nxt, p)
 
 
 @pytest.mark.parametrize("p", [2, 7, 101])
