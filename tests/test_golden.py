@@ -7,7 +7,8 @@ residue answers, the certificate-free residue walk and the one-evaluation
 Thm1 check landed, the orbit and verdict digests before the inline
 orbit loop, the trap digests before the first hits became a view, and
 the explore and capped or excluded-prime box digests before the orbit
-outcome became a tuple; a change that moves one of them changes an
+outcome became a tuple, and the linear-grid digest before classify took
+one decision path; a change that moves one of them changes an
 answer, not only how fast it comes.
 
 To record them again after a deliberate change of output, run
@@ -68,6 +69,7 @@ TRAP_COMMAND_DIGEST = "4b8d3901b2eca48d97ea980ebdfabc5ea86d70003c8b477fd4832b3a6
 EXPLORE_LN_DIGEST = "f350be5d9e9625cce83d5e88936236dea0e246dac686fcaf7ae06b71bae1aa8e"
 EXCLUDED_BOX_DIGEST = "51be56643715a1dd2573e8f6e34d4b98861a0bdb9db6a2d7fe56a8aa20256e58"
 CAPPED_BOX_DIGEST = "9fbc6218a7dd897d4330ab2c68221044e1eb440c4101a44520eecd12e68d5135"
+LINEAR_GRID_DIGEST = "323246024b16b2def3d46212ef5e626fdf26fadd30bdf992762439b2214a3a63"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -208,6 +210,23 @@ def verdict_digest() -> str:
     return _digest(rows)
 
 
+def linear_grid_digest() -> str:
+    """Every Verdict field of classify over every ax+b with a != 0 and
+    a, b, r in [-12, 12], at the six excluded sets."""
+    rows = []
+    for A in _EXCLUDED:
+        for a in range(-12, 13):
+            if a == 0:
+                continue
+            for b in range(-12, 13):
+                u = Polynomial((b, a))
+                for r in range(-12, 13):
+                    v = classify(u, r, A)
+                    rows.append([a, b, r, list(A), v.decidable, v.member, v.subclass,
+                                 v.index, v.citation, v.note, _outcome_row(v.orbit)])
+    return _digest(rows)
+
+
 def trap_hits_digest() -> str:
     """Every (point, first hit) pair of trap_first_hits, in its iteration
     order, for every prime up to 101."""
@@ -249,6 +268,10 @@ def test_classify_verdicts():
     assert verdict_digest() == VERDICT_DIGEST
 
 
+def test_classify_linear_grid():
+    assert linear_grid_digest() == LINEAR_GRID_DIGEST
+
+
 def test_trap_first_hits_items():
     assert trap_hits_digest() == TRAP_HITS_DIGEST
 
@@ -279,6 +302,7 @@ if __name__ == "__main__":
     print(f"REFUTING_DIGEST = \"{refuting_digest()}\"")
     print(f"ORBIT_DIGEST = \"{orbit_digest()}\"")
     print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")
+    print(f"LINEAR_GRID_DIGEST = \"{linear_grid_digest()}\"")
     print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
     print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")
     print(f"EXPLORE_LN_DIGEST = \"{explore_digest()}\"")
