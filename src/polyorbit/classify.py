@@ -1,7 +1,22 @@
 """Exact, catalog-backed classification of (weakly) locally nilpotent
 polynomials for the decidable (r, A) combinations.
 
-The decidable cases and their catalog citations:
+classify takes one path for every (r, A) it covers, in three steps:
+
+1. The index. At r in {1, -1, 0} with empty A, and at r=1 for a linear
+   map outside any A, the catalog lists every orbit that reaches 0:
+   1, 2, 3, 0 cut at its first 0 (Thm1.1-1.3), its negative -1, -2, -3, 0
+   (Rem4.1-3), and 0, a, 0 (Thm2.4-2.5). u is stepped only while its orbit
+   stays on those values, so at most three evaluations are made; at r=0
+   the second step u(a) = 0 is tested by dividing a out of u from the
+   constant term up, so no value grows past the coefficients. Everywhere
+   else decide_nilpotency decides the orbit, under the caps given, and the
+   outcome is kept in Verdict.orbit; an orbit undecided at the caps leaves
+   the verdict undecidable.
+2. Membership. A nilpotent map is a member. Any other linear map is a
+   member exactly when the linear rule modular._linear_member holds outside
+   A; any other map is not one (by the catalog lists, or by Fact1).
+3. The label. _label names the catalog item of the outcome:
 
 * Thm1.1-4   all of L at r=1, A=empty (any degree).
 * Rem4.1-4   the r=-1 mirror of Thm1 under negate-conjugation.
@@ -21,13 +36,11 @@ hunt for a refuting prime, and a refutation is a proof of non-membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
-from typing import Callable
 
-from .modular import PrimeSet, _as_prime_set, _linear_exponent, _linear_member
-from .orbits import (_EXHAUSTED, _REACHED_ZERO, OrbitOutcome, check_caps,
-                     decide_nilpotency)
+from .modular import PrimeSet, _as_prime_set, _linear_member
+from .orbits import _EXHAUSTED, OrbitOutcome, check_caps, decide_nilpotency
 from .polynomials import Polynomial, linear
 
 NILPOTENT = "nilpotent"
@@ -91,22 +104,6 @@ class Verdict:
         return bool(self.member) and self.subclass == STRICTLY_LOCAL
 
 
-def _nilpotent(index: int, citation: str, note: str = "") -> Verdict:
-    return Verdict(True, True, NILPOTENT, index, citation, note)
-
-
-def _strictly_local(citation: str, note: str = "") -> Verdict:
-    return Verdict(True, True, STRICTLY_LOCAL, None, citation, note)
-
-
-def _non_member(citation: str, note: str = "") -> Verdict:
-    return Verdict(True, False, None, None, citation, note)
-
-
-def _undecidable(note: str) -> Verdict:
-    return Verdict(False, None, None, None, "", note)
-
-
 def _require_nonzero(u: Polynomial) -> None:
     if u.is_zero():
         raise ValueError("the zero polynomial is outside every membership set")
@@ -151,35 +148,7 @@ def classify_L1(u: Polynomial) -> Verdict:
     p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 + p(x)(x-1)(x-2)(x-3), index 3;
     (4) x+1, strictly local.
     """
-    return _classify_L1(u, 1, lambda citation: citation)
-
-
-# Each Thm1 modulus (x-1)...(x-index) is monic with distinct integer roots, so
-# it divides u - base exactly when u = base at each: rows hold base's values.
-_THM1_ROOT_VALUES = tuple(
-    (citation, index, tuple(base.evaluate(j) for j in range(1, index + 1)))
-    for citation, index, base, _ in THM1_SHAPES
-)
-
-
-def _classify_L1(u: Polynomial, s: int, cite: Callable[[str], str]) -> Verdict:
-    """classify_L1's verdict on v(x) = s*u(s*x), citation mapped by cite:
-    s = -1 gives the r=-1 mirror without building the negate-conjugate v.
-    v is evaluated at 1, 2, 3 only as far as a shape needs it."""
-    if not u.coeffs:
-        _require_nonzero(u)
-    values: list[int] = []  # v(1), v(2), ... as far as evaluated
-    for citation, index, targets in _THM1_ROOT_VALUES:
-        for j, target in enumerate(targets, 1):
-            if len(values) < j:
-                values.append(s * u.evaluate(s * j))
-            if values[j - 1] != target:
-                break
-        else:
-            return _nilpotent(index, cite(citation))
-    if u.coeffs == (s, 1):  # v = x+1
-        return _strictly_local(cite("Thm1.4"))
-    return _non_member(cite("Thm1"))
+    return classify(u, 1)
 
 
 def classify_L0(u: Polynomial) -> Verdict:
@@ -193,35 +162,7 @@ def classify_L0(u: Polynomial) -> Verdict:
     follows the orbit, with a note: every multiple of x (item 1 included)
     reaches 0 at the first step, and -x+b reaches 0 at the second.
     """
-    _require_nonzero(u)
-    if u.constant == 0:
-        note = ""
-        if u.degree == 1:
-            note = (
-                "also matches Thm2.1 (annotated strictly-local); "
-                "u(0)=0 forces nilpotency of index 1"
-            )
-        return _nilpotent(1, "Thm2.4", note)
-    if u.degree == 1:
-        a, b = u.lead, u.constant  # b != 0 here
-        if a == 1:
-            return _strictly_local("Thm2.2")
-        if a == -1:
-            return _nilpotent(
-                2,
-                "Thm2.2",
-                "catalog annotates +-x+b strictly-local; the orbit at 0 "
-                "returns to 0 at step 2",
-            )
-        if _linear_member(u, 0) is not None:
-            return _strictly_local("Thm2.3")
-        return _non_member("Thm2")
-    # degree 0 or >= 2 with nonzero constant term: only item (5) remains.
-    # u = (x-a)p(x) with p(0) = -1 holds exactly when a := u(0) is a root.
-    root = u.constant
-    if u.evaluate(root) == 0:
-        return _nilpotent(2, "Thm2.5")
-    return _non_member("Thm2")
+    return classify(u, 0)
 
 
 def classify_L1A_linear(u: Polynomial, A: "PrimeSet | None") -> Verdict:
@@ -238,14 +179,7 @@ def classify_L1A_linear(u: Polynomial, A: "PrimeSet | None") -> Verdict:
     _require_nonzero(u)
     if u.degree != 1:
         raise ValueError("this classifier covers degree 1 only")
-    a, b = u.lead, u.constant
-    if b == -a:
-        return _nilpotent(1, "Thm3.1" if a == 1 else "Thm3.2")
-    if (a, b) == (-2, 4):
-        return _nilpotent(2, "Thm3.5")
-    if _linear_member(u, 1, prod(_as_prime_set(A).primes)) is None:
-        return _non_member("Thm3")
-    return _strictly_local("Thm3.1" if a == 1 else "Thm3.3" if b == 1 else "Thm3.4")
+    return _decide(u, 1, "Thm3", prod(_as_prime_set(A).primes), {})
 
 
 def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
@@ -269,66 +203,37 @@ def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
     structure, e.g. 2x+2 at r=6) are cited as Rem3. Exhaustive certificate
     sweeps back this completion.
 
-    This is a structural test for the strictly-local catalog only; the
-    dispatcher settles nilpotent membership before calling it. Called
-    directly on a map nilpotent at r, it answers a non-member of the
-    strictly-local set with the note "nilpotent at r (index n)".
+    This is a structural test for the strictly-local catalog only: it is
+    classify's verdict without the orbit, except on a map nilpotent at r,
+    which it answers as a non-member of the strictly-local set with the
+    note "nilpotent at r (index n)".
     """
-    return _sr_linear(u, r, None)
-
-
-def _linear_index(u: Polynomial, r: int) -> int | None:
-    """The index of u = ax+b at r != 0 when its orbit reaches 0, else None.
-    x+b steps by b; -x+b alternates r, b-r; for |a| >= 2 the n-th iterate
-    is beta (a^(n+e) - 1)/(a-1) (_linear_exponent), zero at n = -e."""
-    b, a = u.coeffs
-    if a == 1:
-        return r // -b if b * r < 0 and r % b == 0 else None
-    if a == -1:
-        return 1 if b == r else None
-    e = _linear_exponent(u, r)
-    return -e if e is not None and e < 0 else None
-
-
-def _sr_linear(u: Polynomial, r: int, orbit: OrbitOutcome | None) -> Verdict:
-    """classify_Sr_linear's verdict, carrying orbit, built once. A given
-    orbit has already been found not to reach 0."""
-    if not u.coeffs:
-        _require_nonzero(u)
+    _require_nonzero(u)
     if len(u.coeffs) != 2:
         raise ValueError("this classifier covers degree 1 only")
     if abs(r) < 2:
         raise ValueError("this classifier covers |r| >= 2 only")
-    family = "Thm4" if r > 0 else "Cor4"
-    b, a = u.coeffs
-    index = None if orbit is not None else _linear_index(u, r)
-    if index is not None:
-        note = f"nilpotent at {r} (index {index}), hence not strictly local"
-        return Verdict(True, False, None, None, family, note, orbit)
-    m = _linear_member(u, r)
-    if m is None:
-        return Verdict(True, False, None, None, family, "", orbit)
-    if a == 1:
-        item = ".1" if b * r > 0 else ".2"
-    else:
-        item = ".3" if b == r else ".4" if (a, b) == (-2, -r) else None
-    if item is None:
-        note = (f"member by the power condition r(a-1)=b(a^{m}-1) with support(a) "
-                "inside support(b); outside the four cataloged shapes")
-        return Verdict(True, True, STRICTLY_LOCAL, None, "Rem3", note, orbit)
-    return Verdict(True, True, STRICTLY_LOCAL, None, family + item, "", orbit)
+    v = classify(u, r)
+    if v.index is None:
+        return replace(v, orbit=None)
+    note = f"nilpotent at {r} (index {v.index}), hence not strictly local"
+    return Verdict(True, False, None, None, "Thm4" if r > 0 else "Cor4", note)
+
+
+# The family whose catalog covers each special r with empty A; at every
+# other r with empty A it is Thm4 (r >= 2) or Cor4 (r <= -2).
+_SPECIAL_FAMILIES = {1: "Thm1", -1: "Rem4", 0: "Thm2"}
 
 
 def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verdict:
-    """Dispatch to the exact classifier covering (r, A, degree), if any.
+    """The exact verdict on (u, r, A), where one is known.
 
-    Coverage: r in {1,-1,0} with empty A at any degree; r=1 with any A at
-    degree 1; |r| >= 2 with empty A (nilpotency decided by the orbit
-    engine first, under the decide_nilpotency caps given as keywords, then
-    Fact1 for degree >= 2, the strictly-local catalog for degree 1). Each
-    linear item labels the gcd rule modular._linear_member: nothing is
-    factored. Everything else returns decidable=False. Caps below 1 are
-    refused; no caps means the defaults, which need no check.
+    Coverage: every u at r in {1, -1, 0} and at |r| >= 2 with empty A,
+    and linear u at r=1 with any A; everything else returns
+    decidable=False. At |r| >= 2 the orbit is decided under the
+    decide_nilpotency caps given as keywords. Caps below 1 are refused; no
+    caps means the defaults, which need no check. Each linear item labels
+    the gcd rule modular._linear_member: nothing is factored.
     """
     coeffs = u.coeffs
     if not coeffs:
@@ -337,29 +242,113 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
         check_caps(**caps)
     A = _as_prime_set(A)
     if not A.primes:
-        if r == 1:
-            return classify_L1(u)
-        if r == -1:
-            return _classify_L1(u, -1, mirror_item)
-        if r == 0:
-            return classify_L0(u)
-        outcome = decide_nilpotency(u, r, **caps)
-        kind = outcome.kind
-        if kind is _REACHED_ZERO:
-            return Verdict(True, True, NILPOTENT, outcome.index, "Def.N", orbit=outcome)
-        if kind is _EXHAUSTED:
-            note = f"orbit of {u} at {r} undecided at the resource caps"
-            return Verdict(False, None, note=note, orbit=outcome)
-        degree = len(coeffs) - 1
-        if degree == 0:
-            note = "constants are outside every membership set"
-            return Verdict(True, False, citation="Def.L", note=note, orbit=outcome)
-        if degree >= 2:
-            return Verdict(True, False, citation="Fact1", orbit=outcome)
-        return _sr_linear(u, r, outcome)
+        family = _SPECIAL_FAMILIES.get(r) or ("Thm4" if r > 0 else "Cor4")
+        return _decide(u, r, family, 1, caps)
     if r == 1 and len(coeffs) == 2:
-        return classify_L1A_linear(u, A)
-    return _undecidable(
-        f"no exact classifier for r={r}, A={A}, degree={len(coeffs) - 1}; "
-        "use certify_local (a refutation there is a proof of non-membership)"
-    )
+        return _decide(u, 1, "Thm3", prod(A.primes), caps)
+    note = (f"no exact classifier for r={r}, A={A}, degree={len(coeffs) - 1}; "
+            "use certify_local (a refutation there is a proof of non-membership)")
+    return Verdict(False, None, note=note)
+
+
+def _decide(u: Polynomial, r: int, family: str, excluded: int, caps: dict) -> Verdict:
+    """The verdict on u at r outside the primes whose product is excluded,
+    cited from family: the index, then the linear rule, then the label."""
+    coeffs = u.coeffs
+    orbit = None
+    if -1 <= r <= 1:
+        index = _listed_index(u, r)
+    else:
+        orbit = decide_nilpotency(u, r, **caps)
+        if orbit.kind is _EXHAUSTED:
+            note = f"orbit of {u} at {r} undecided at the resource caps"
+            return Verdict(False, None, note=note, orbit=orbit)
+        index = orbit.index
+    m = _linear_member(u, r, excluded) if index is None and len(coeffs) == 2 else None
+    citation, note = _label(family, coeffs, r, index, m)
+    if index is not None:
+        return Verdict(True, True, NILPOTENT, index, citation, note, orbit)
+    if m is not None:
+        return Verdict(True, True, STRICTLY_LOCAL, None, citation, note, orbit)
+    return Verdict(True, False, None, None, citation, note, orbit)
+
+
+def _listed_index(u: Polynomial, r: int) -> int | None:
+    """The index of u at r in {1, -1, 0}, or None when its orbit leaves
+    the catalog's list of orbits reaching 0: r, 2r, 3r, 0 cut at its first
+    0 for r = +-1, and 0, a, 0 for r = 0.
+
+    At r = 0, a = u(0) is the constant term, and u(a) = 0 is tested from
+    the constant term up: t starts at 0 and becomes t/a + c for each
+    coefficient c, lowest first. After k steps u(a) = a^k (t + a*R) for the
+    rest R of the sum, so a t that a does not divide leaves u(a) nonzero,
+    and u(a) = 0 exactly when t ends at 0. t stays within the coefficients'
+    size, where u(a) itself can have degree times a's digits."""
+    if r:
+        x = r
+        for index in (1, 2, 3):
+            x = u.evaluate(x)
+            if x == 0:
+                return index
+            if x != (index + 1) * r:
+                return None
+        return None
+    coeffs = u.coeffs
+    a = coeffs[0]
+    if a == 0:
+        return 1
+    t = 0
+    for c in coeffs:
+        t, remainder = divmod(t, a)
+        if remainder:
+            return None
+        t += c
+    return 2 if t == 0 else None
+
+
+# Two Thm2 annotations that the orbit at 0 overrides.
+_THM21_NOTE = ("also matches Thm2.1 (annotated strictly-local); "
+               "u(0)=0 forces nilpotency of index 1")
+_THM22_NOTE = ("catalog annotates +-x+b strictly-local; the orbit at 0 "
+               "returns to 0 at step 2")
+
+
+def _label(family: str, coeffs: tuple[int, ...], r: int, index: int | None,
+           m: int | None) -> tuple[str, str]:
+    """The (citation, note) of u = sum coeffs[i] x^i at r in family's
+    catalog: index is its nilpotency index or None, and m the linear rule's
+    exponent when u is a linear member that is not nilpotent, else None."""
+    b, a = coeffs[0], coeffs[-1]
+    linear_map = len(coeffs) == 2
+    if family in ("Thm1", "Rem4"):
+        item = index or (4 if m is not None else None)
+        return (f"{family}.{item}" if item else family), ""
+    if family == "Thm2":
+        if index == 1:
+            return "Thm2.4", _THM21_NOTE if linear_map else ""
+        if index == 2:  # -x+b is the only linear map of index 2 at 0
+            return ("Thm2.2", _THM22_NOTE) if linear_map else ("Thm2.5", "")
+        return ("Thm2" if m is None else "Thm2.2" if a == 1 else "Thm2.3"), ""
+    if family == "Thm3":
+        if index == 2:
+            return "Thm3.5", ""
+        if index is None and m is None:
+            return "Thm3", ""
+        return ("Thm3.1" if a == 1 else "Thm3.2" if index else
+                "Thm3.3" if b == 1 else "Thm3.4"), ""
+    if index is not None:
+        return "Def.N", ""
+    if not linear_map:
+        if len(coeffs) == 1:
+            return "Def.L", "constants are outside every membership set"
+        return "Fact1", ""
+    if m is None:
+        return family, ""
+    if a == 1:
+        item = ".1" if b * r > 0 else ".2"
+    else:
+        item = ".3" if b == r else ".4" if (a, b) == (-2, -r) else None
+    if item is None:
+        return "Rem3", (f"member by the power condition r(a-1)=b(a^{m}-1) with "
+                        "support(a) inside support(b); outside the four cataloged shapes")
+    return family + item, ""

@@ -28,6 +28,7 @@ from polyorbit import (
     parse_poly,
 )
 from polyorbit.classify import THM1_SHAPES, Verdict, mirror_item
+from polyorbit.modular import _linear_member
 
 
 def expect(v, member, subclass=None, index=None, citation=None):
@@ -542,6 +543,28 @@ def polynomial_route_L1(u):
     return Verdict(True, False, None, None, "Thm1")
 
 
+def route_L0(u):
+    """The Thm2 check branch by branch: multiples of x, then the linear
+    items, then u(a) = 0 at a = u(0) by evaluating u at a."""
+    if u.constant == 0:
+        note = ("also matches Thm2.1 (annotated strictly-local); "
+                "u(0)=0 forces nilpotency of index 1") if u.degree == 1 else ""
+        return Verdict(True, True, NILPOTENT, 1, "Thm2.4", note)
+    if u.degree == 1:
+        if u.lead == 1:
+            return Verdict(True, True, STRICTLY_LOCAL, None, "Thm2.2")
+        if u.lead == -1:
+            note = ("catalog annotates +-x+b strictly-local; the orbit at 0 "
+                    "returns to 0 at step 2")
+            return Verdict(True, True, NILPOTENT, 2, "Thm2.2", note)
+        if _linear_member(u, 0) is not None:
+            return Verdict(True, True, STRICTLY_LOCAL, None, "Thm2.3")
+        return Verdict(True, False, None, None, "Thm2")
+    if u.evaluate(u.constant) == 0:
+        return Verdict(True, True, NILPOTENT, 2, "Thm2.5")
+    return Verdict(True, False, None, None, "Thm2")
+
+
 def near_thm1_shapes():
     """Each Thm1 base plus p(x) times its modulus, for p of degree <= 1
     with |coefficients| <= 2, shifted by -1, 0 and 1: members of every
@@ -577,3 +600,53 @@ class TestThm1ByRootValues:
             mirror = polynomial_route_L1(u.negate_conjugate())
             mirror = dataclasses.replace(mirror, citation=mirror_item(mirror.citation))
             assert dataclasses.asdict(classify(u, -1)) == dataclasses.asdict(mirror), u
+
+
+class TestThm2ByTheOrbitAtZero:
+    """classify at r=0 against route_L0, and its test of u(a) = 0, made
+    from the constant term up, against evaluating u at a = u(0)."""
+
+    MAPS = [Polynomial(c) for c in product(range(-3, 4), repeat=4) if any(c)]
+
+    def test_route_L0(self):
+        for u in self.MAPS:
+            expected = dataclasses.asdict(route_L0(u))
+            assert dataclasses.asdict(classify(u, 0)) == expected, u
+            assert dataclasses.asdict(classify_L0(u)) == expected, u
+
+    @staticmethod
+    def maps_near_a_root_at_the_constant():
+        """(x-a)p(x) + k for a in [-12, 12] and 10^30 + 7 and their
+        negatives, p of degree <= 2 with |c| <= 2, k in {-1, 0, 1}: with
+        p(0) = -1 and k = 0, u(0) = a is a root of u."""
+        for a in [*range(-12, 13), 10**30 + 7, -10**30 - 7]:
+            for p in product(range(-2, 3), repeat=3):
+                for k in (-1, 0, 1):
+                    u = linear(1, -a) * Polynomial(p) + k
+                    if not u.is_zero():
+                        yield u
+
+    def test_root_at_the_constant_matches_evaluation(self):
+        maps = [Polynomial(c) for c in product(range(-3, 4), repeat=5) if any(c)]
+        maps += self.maps_near_a_root_at_the_constant()
+        found = 0
+        for u in maps:
+            a = u.constant
+            expected = 1 if a == 0 else 2 if u.evaluate(a) == 0 else None
+            assert classify(u, 0).index == expected, u
+            found += expected == 2
+        assert found > 100
+
+    def test_member_with_a_large_root(self):
+        u = linear(1, -10**50) * parse_poly("x^2-1")
+        assert u.constant == 10**50
+        expect(classify(u, 0), True, NILPOTENT, 2, "Thm2.5")
+        assert decide_nilpotency(u, 0).index == 2
+
+    @pytest.mark.parametrize("r, citation", [(-1, "Rem4"), (0, "Thm2"), (1, "Thm1")])
+    def test_large_constant_is_answered_without_its_orbit(self, small_peak, r, citation):
+        """u(u(0)) and u(u(1)) of x^10000 + 10^4000 have some 40 million
+        digits; the catalog lists decide before either is built."""
+        v = classify(parse_poly("x^10000+1" + "0" * 4000), r)
+        expect(v, False, citation=citation)
+        assert v.result == "NotInL"
