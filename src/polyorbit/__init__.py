@@ -8,10 +8,6 @@ from .classify import (
     STRICTLY_LOCAL,
     Verdict,
     classify,
-    classify_L0,
-    classify_L1,
-    classify_L1A_linear,
-    classify_Sr_linear,
 )
 from .modular import (
     LemmaPreconditionError,
@@ -53,7 +49,6 @@ from .trap import (
     trap_first_hits,
     trap_fixed_points,
     trap_step,
-    verify_trap_nilpotence,
 )
 from .verify import (
     LocalStatusEntry,
@@ -89,10 +84,6 @@ __all__ = [
     "Verdict",
     "certify_local",
     "classify",
-    "classify_L0",
-    "classify_L1",
-    "classify_L1A_linear",
-    "classify_Sr_linear",
     "decide_nilpotency",
     "escape_bound",
     "explore_LN_of_u",
@@ -115,6 +106,5 @@ __all__ = [
     "trap_first_hits",
     "trap_fixed_points",
     "trap_step",
-    "verify_trap_nilpotence",
     "verify_theorem",
 ]

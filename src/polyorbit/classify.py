@@ -24,7 +24,7 @@ classify takes one path for every (r, A) it covers, in three steps:
 * Thm3.1-5   all linear members of L at r=1 for an arbitrary finite A.
 * Thm4.1-4   linear strictly-local members at r >= 2, A=empty.
 * Rem3       linear members at |r| >= 2 outside the four Thm4/Cor4 shapes,
-             by the linear rule (see classify_Sr_linear).
+             by the linear rule (see _label).
 * Cor4.1-4   the r <= -2 mirror of Thm4 under negate-conjugation.
 * Fact1      degree >= 2 and non-nilpotent at r implies non-membership.
 * Def.N      nilpotent at r (orbit reaches 0), hence trivially a member.
@@ -36,7 +36,7 @@ hunt for a refuting prime, and a refutation is a proof of non-membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 
 from .modular import PrimeSet, _as_prime_set, _linear_member
@@ -104,11 +104,6 @@ class Verdict:
         return bool(self.member) and self.subclass == STRICTLY_LOCAL
 
 
-def _require_nonzero(u: Polynomial) -> None:
-    if u.is_zero():
-        raise ValueError("the zero polynomial is outside every membership set")
-
-
 _X_MINUS_1 = linear(1, -1)
 
 # Thm1.1-1.3: u = base + p(x)*modulus for some p in Z[x], nilpotent of the
@@ -141,85 +136,6 @@ CATALOG_FAMILIES = {
 }
 
 
-def classify_L1(u: Polynomial) -> Verdict:
-    """Membership at r=1, A=empty, any degree.
-
-    Catalog: (1) (x-1)p(x), p != 0, nilpotent index 1; (2) -2x+4 +
-    p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 + p(x)(x-1)(x-2)(x-3), index 3;
-    (4) x+1, strictly local.
-    """
-    return classify(u, 1)
-
-
-def classify_L0(u: Polynomial) -> Verdict:
-    """Membership at r=0, A=empty, any degree.
-
-    Catalog: (1) ax; (2) x+b and -x+b, b != 0; (3) ax+b with nonempty
-    prime support of a contained in that of b; (4) x*p(x), nilpotent index
-    1; (5) (x-a)p(x) with a != 0 and p(0) = -1, nilpotent index 2.
-
-    Two catalog annotations disagree with the orbit itself and the verdict
-    follows the orbit, with a note: every multiple of x (item 1 included)
-    reaches 0 at the first step, and -x+b reaches 0 at the second.
-    """
-    return classify(u, 0)
-
-
-def classify_L1A_linear(u: Polynomial, A: "PrimeSet | None") -> Verdict:
-    """Linear membership at r=1 outside an arbitrary finite prime set A.
-
-    Catalog: (1) x+b with the prime support of b inside A (nilpotent index
-    1 exactly for b=-1); (2) a(x-1), index 1; (3) ax+1 with |a| >= 2 and
-    support(a) inside A; (4) -2x-1, a member precisely when 2 is in A;
-    (5) -2x+4, index 2. Everything else is strictly local. Items (1), (3)
-    and (4) label the members of the linear rule (modular._linear_member):
-    its m = 0 forces a = 1, m = 1 forces b = 1, m = 2 forces -2x-1, and
-    m >= 3 has no solution at r=1.
-    """
-    _require_nonzero(u)
-    if u.degree != 1:
-        raise ValueError("this classifier covers degree 1 only")
-    return _decide(u, 1, "Thm3", prod(_as_prime_set(A).primes), {})
-
-
-def classify_Sr_linear(u: Polynomial, r: int) -> Verdict:
-    """Strictly-local membership for linear u at |r| >= 2, A=empty.
-
-    For r >= 2 with factorization q1^a1...qk^ak the catalog is: (1) x+b,
-    b > 0 supported on the primes of r; (2) x-b, b > 0 supported on the
-    primes of r with some exponent exceeding r's; (3) ax+r with |a| >= 2
-    supported on the primes of r; (4) -2x-r, r even. For r <= -2 the
-    catalog is the negate-conjugate of the positive one (Cor4.*), read
-    directly: the rule and each shape are unchanged when u and r are both
-    mirrored, so .1 is x+b with b of the sign of r, .2 the other sign, .3
-    is b = r and .4 is (a, b) = (-2, -r).
-
-    Membership is the linear rule (modular._linear_member). For |a| >= 2
-    it is the power condition r*(a-1) = b*(a^m - 1) for some m >= 1, with
-    support(a) inside support(b) (then every iterate is b*(a^(n+m)-1)/(a-1),
-    so every prime has a hitting time by the multiplicative order argument,
-    while no exact zero can occur). Members outside the four cataloged
-    shapes (possible once r has a proper divisor with mixed exponent
-    structure, e.g. 2x+2 at r=6) are cited as Rem3. Exhaustive certificate
-    sweeps back this completion.
-
-    This is a structural test for the strictly-local catalog only: it is
-    classify's verdict without the orbit, except on a map nilpotent at r,
-    which it answers as a non-member of the strictly-local set with the
-    note "nilpotent at r (index n)".
-    """
-    _require_nonzero(u)
-    if len(u.coeffs) != 2:
-        raise ValueError("this classifier covers degree 1 only")
-    if abs(r) < 2:
-        raise ValueError("this classifier covers |r| >= 2 only")
-    v = classify(u, r)
-    if v.index is None:
-        return replace(v, orbit=None)
-    note = f"nilpotent at {r} (index {v.index}), hence not strictly local"
-    return Verdict(True, False, None, None, "Thm4" if r > 0 else "Cor4", note)
-
-
 # The family whose catalog covers each special r with empty A; at every
 # other r with empty A it is Thm4 (r >= 2) or Cor4 (r <= -2).
 _SPECIAL_FAMILIES = {1: "Thm1", -1: "Rem4", 0: "Thm2"}
@@ -237,7 +153,7 @@ def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verd
     """
     coeffs = u.coeffs
     if not coeffs:
-        _require_nonzero(u)
+        raise ValueError("the zero polynomial is outside every membership set")
     if caps:
         check_caps(**caps)
     A = _as_prime_set(A)
@@ -311,6 +227,44 @@ _THM21_NOTE = ("also matches Thm2.1 (annotated strictly-local); "
                "u(0)=0 forces nilpotency of index 1")
 _THM22_NOTE = ("catalog annotates +-x+b strictly-local; the orbit at 0 "
                "returns to 0 at step 2")
+
+# The catalog items that _label assigns, family by family.
+#
+# Thm1 (r=1, A empty, any degree): (1) (x-1)p(x), p != 0, nilpotent index
+#   1; (2) -2x+4 + p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 +
+#   p(x)(x-1)(x-2)(x-3), index 3; (4) x+1, strictly local. Rem4 is its
+#   mirror at r=-1.
+# Thm2 (r=0, A empty, any degree): (1) ax; (2) x+b and -x+b, b != 0;
+#   (3) ax+b with nonempty prime support of a contained in that of b;
+#   (4) x*p(x), nilpotent index 1; (5) (x-a)p(x) with a != 0 and p(0) = -1,
+#   nilpotent index 2. Two annotations disagree with the orbit itself and
+#   the verdict follows the orbit, with a note: every multiple of x (item 1
+#   included) reaches 0 at the first step, and -x+b reaches 0 at the second.
+# Thm3 (linear u at r=1 outside a nonempty finite prime set A): (1) x+b
+#   with the prime support of b inside A (nilpotent index 1 exactly for
+#   b=-1); (2) a(x-1), index 1; (3) ax+1 with |a| >= 2 and support(a)
+#   inside A; (4) -2x-1, a member precisely when 2 is in A; (5) -2x+4,
+#   index 2. Everything else is strictly local. Items (1), (3) and (4) label
+#   the members of the linear rule (modular._linear_member): its m = 0
+#   forces a = 1, m = 1 forces b = 1, m = 2 forces -2x-1, and m >= 3 has no
+#   solution at r=1.
+# Thm4 (linear strictly-local members at r >= 2, A empty), for r with
+#   factorization q1^a1...qk^ak: (1) x+b, b > 0 supported on the primes of
+#   r; (2) x-b, b > 0 supported on the primes of r with some exponent
+#   exceeding r's; (3) ax+r with |a| >= 2 supported on the primes of r;
+#   (4) -2x-r, r even.
+# Cor4 (r <= -2) is the negate-conjugate of Thm4, read directly: the rule
+#   and each shape are unchanged when u and r are both mirrored, so .1 is
+#   x+b with b of the sign of r, .2 the other sign, .3 is b = r and .4 is
+#   (a, b) = (-2, -r).
+# Rem3: for |a| >= 2 the linear rule is the power condition
+#   r*(a-1) = b*(a^m - 1) for some m >= 1, with support(a) inside
+#   support(b) (then every iterate is b*(a^(n+m)-1)/(a-1), so every prime
+#   has a hitting time by the multiplicative order argument, while no exact
+#   zero can occur). Members outside the four Thm4/Cor4 shapes (possible
+#   once r has a proper divisor with mixed exponent structure, e.g. 2x+2 at
+#   r=6) are cited as Rem3. Exhaustive certificate sweeps back this
+#   completion.
 
 
 def _label(family: str, coeffs: tuple[int, ...], r: int, index: int | None,

@@ -15,10 +15,11 @@ is (0,0). Hence:
 * (0,0) is the only fixed point, since t + 1 != t and every other point
   with a zero coordinate moves to (0,0).
 
-trap_first_hits builds its answer from the lemma, one flat list of p^2
+So every first hit lies in [1, p], and the largest is p, at ratio t = 1:
+the trap command reports both from the lemma and builds no first hits.
+trap_first_hits lists them all, from the lemma, as one flat list of p^2
 small ints indexed by x*p + y, read through FirstHits, a read-only
-mapping from (x, y) to the hit at x*p + y that builds no point tuples;
-verify_trap_nilpotence and the trap command read its values.
+mapping from (x, y) to the hit at x*p + y that builds no point tuples.
 trap_fixed_points scans every point, testing the first coordinate
 x^2*y = x first and the second only where that holds, so its answer is
 checked against the lemma rather than taken from it. _step is the
@@ -27,7 +28,7 @@ single-point formula that trap_step applies.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import product
 
@@ -97,13 +98,6 @@ def _first_hits(p: int) -> list[int]:
             for y in range(p)]
 
 
-class _HitValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._mapping._hits)
-
-
 class _HitItems(ItemsView):
     __slots__ = ()
 
@@ -115,9 +109,9 @@ class FirstHits(Mapping[tuple[int, int], int]):
     """The first hits of every point of F_p^2 as a read-only mapping from
     (x, y) to hits[x*p + y], iterated in product(range(p), repeat=2)
     order like the dict of the same items, which it equals. Keys are pairs
-    of ints in [0, p); any other key is absent. values() and items() run
-    over the list itself. The repr shows p and the list, so equal answers
-    have equal reprs."""
+    of ints in [0, p); any other key is absent. items() runs over the list
+    itself; values() is Mapping's view, which looks up each key. The repr
+    shows p and the list, so equal answers have equal reprs."""
 
     __slots__ = ("p", "_hits")
 
@@ -140,9 +134,6 @@ class FirstHits(Mapping[tuple[int, int], int]):
     def __len__(self) -> int:
         return len(self._hits)
 
-    def values(self) -> _HitValues:
-        return _HitValues(self)
-
     def items(self) -> _HitItems:
         return _HitItems(self)
 
@@ -157,13 +148,6 @@ def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> FirstHits:
     of p^2 ints (see FirstHits), equal to the dict of the same items."""
     _check_prime_cap(p, cap)
     return FirstHits(p, _first_hits(p))
-
-
-def verify_trap_nilpotence(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> bool:
-    """True iff all p^2 points reach (0,0) within p steps, equivalently the
-    p-th iterate of the map is identically (0,0) ((0,0) is absorbing)."""
-    _check_prime_cap(p, cap)
-    return all(_first_hits(p))
 
 
 def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:

@@ -1,5 +1,5 @@
-"""The exact classifiers and the dispatcher, cross-checked against the
-orbit engine and the residue certificates."""
+"""classify, item by item of the catalog, cross-checked against the orbit
+engine and the residue certificates."""
 
 import dataclasses
 import importlib
@@ -18,10 +18,6 @@ from polyorbit import (
     PrimeSet,
     certify_local,
     classify,
-    classify_L0,
-    classify_L1,
-    classify_L1A_linear,
-    classify_Sr_linear,
     decide_nilpotency,
     linear,
     nilpotency_index,
@@ -42,37 +38,37 @@ def expect(v, member, subclass=None, index=None, citation=None):
 
 class TestClassifyL1:
     def test_strictly_local_singleton(self):
-        expect(classify_L1(linear(1, 1)), True, STRICTLY_LOCAL, citation="Thm1.4")
+        expect(classify(linear(1, 1), 1), True, STRICTLY_LOCAL, citation="Thm1.4")
 
     def test_multiples_of_x_minus_one(self):
         for p in [Polynomial((1,)), linear(3, 1), parse_poly("x^2+x-5")]:
             u = linear(1, -1) * p
-            expect(classify_L1(u), True, NILPOTENT, 1, "Thm1.1")
+            expect(classify(u, 1), True, NILPOTENT, 1, "Thm1.1")
 
     def test_index_two_item(self):
-        expect(classify_L1(parse_poly("x^2-5x+6")), True, NILPOTENT, 2, "Thm1.2")
-        expect(classify_L1(linear(-2, 4)), True, NILPOTENT, 2, "Thm1.2")
+        expect(classify(parse_poly("x^2-5x+6"), 1), True, NILPOTENT, 2, "Thm1.2")
+        expect(classify(linear(-2, 4), 1), True, NILPOTENT, 2, "Thm1.2")
 
     def test_index_three_item(self):
-        expect(classify_L1(parse_poly("-2x^2+7x-3")), True, NILPOTENT, 3, "Thm1.3")
+        expect(classify(parse_poly("-2x^2+7x-3"), 1), True, NILPOTENT, 3, "Thm1.3")
         u = parse_poly("-2x^2+7x-3") + parse_poly("x+1") * (
             linear(1, -1) * linear(1, -2) * linear(1, -3)
         )
-        expect(classify_L1(u), True, NILPOTENT, 3, "Thm1.3")
+        expect(classify(u, 1), True, NILPOTENT, 3, "Thm1.3")
 
     def test_non_members(self):
         for text in ["4x-2", "x^2+1", "2x+1", "x^2"]:
-            expect(classify_L1(parse_poly(text)), False, citation="Thm1")
+            expect(classify(parse_poly(text), 1), False, citation="Thm1")
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            classify_L1(Polynomial())
+            classify(Polynomial(), 1)
 
     def test_indices_agree_with_orbit(self):
         for vec in product(range(-4, 5), repeat=3):
             if not any(vec):
                 continue
-            v = classify_L1(Polynomial(vec))
+            v = classify(Polynomial(vec), 1)
             if v.is_nilpotent:
                 assert nilpotency_index(Polynomial(vec), 1) == v.index
 
@@ -82,7 +78,7 @@ class TestClassifyL1:
             if not any(vec):
                 continue
             u = Polynomial(vec)
-            v = classify_L1(u)
+            v = classify(u, 1)
             for citation, index, base, modulus in THM1_SHAPES:
                 if modulus.divides(u - base):
                     expect(v, True, NILPOTENT, index, citation)
@@ -96,42 +92,42 @@ class TestClassifyL1:
 
 class TestClassifyL0:
     def test_support_condition(self):
-        expect(classify_L0(linear(3, 6)), True, STRICTLY_LOCAL, citation="Thm2.3")
-        expect(classify_L0(linear(4, -2)), True, STRICTLY_LOCAL, citation="Thm2.3")
-        expect(classify_L0(linear(6, 3)), False, citation="Thm2")
+        expect(classify(linear(3, 6), 0), True, STRICTLY_LOCAL, citation="Thm2.3")
+        expect(classify(linear(4, -2), 0), True, STRICTLY_LOCAL, citation="Thm2.3")
+        expect(classify(linear(6, 3), 0), False, citation="Thm2")
 
     def test_shift_strictly_local(self):
-        expect(classify_L0(linear(1, 5)), True, STRICTLY_LOCAL, citation="Thm2.2")
-        expect(classify_L0(linear(1, -1)), True, STRICTLY_LOCAL, citation="Thm2.2")
+        expect(classify(linear(1, 5), 0), True, STRICTLY_LOCAL, citation="Thm2.2")
+        expect(classify(linear(1, -1), 0), True, STRICTLY_LOCAL, citation="Thm2.2")
 
     def test_negated_shift_is_nilpotent_with_note(self):
-        v = classify_L0(linear(-1, 7))
+        v = classify(linear(-1, 7), 0)
         expect(v, True, NILPOTENT, 2, "Thm2.2")
         assert v.note
 
     def test_multiples_of_x(self):
-        v = classify_L0(linear(5, 0))
+        v = classify(linear(5, 0), 0)
         expect(v, True, NILPOTENT, 1, "Thm2.4")
         assert "Thm2.1" in v.note
-        expect(classify_L0(parse_poly("x^3-2x")), True, NILPOTENT, 1, "Thm2.4")
+        expect(classify(parse_poly("x^3-2x"), 0), True, NILPOTENT, 1, "Thm2.4")
 
     def test_root_at_constant_term(self):
         u = linear(1, -2) * parse_poly("x^2-1")  # (x-2)(x^2-1), p(0) = -1
-        expect(classify_L0(u), True, NILPOTENT, 2, "Thm2.5")
+        expect(classify(u, 0), True, NILPOTENT, 2, "Thm2.5")
 
     def test_constants_not_members(self):
-        expect(classify_L0(Polynomial((4,))), False, citation="Thm2")
+        expect(classify(Polynomial((4,)), 0), False, citation="Thm2")
 
     def test_non_members(self):
         for text in ["x^2+1", "2x+3", "3x-7", "x^2+x+1"]:
-            expect(classify_L0(parse_poly(text)), False, citation="Thm2")
+            expect(classify(parse_poly(text), 0), False, citation="Thm2")
 
     def test_indices_agree_with_orbit(self):
         for vec in product(range(-4, 5), repeat=3):
             if not any(vec):
                 continue
             u = Polynomial(vec)
-            v = classify_L0(u)
+            v = classify(u, 0)
             outcome = decide_nilpotency(u, 0)
             if v.is_nilpotent:
                 assert outcome.kind is OrbitKind.REACHED_ZERO
@@ -142,135 +138,77 @@ class TestClassifyL0:
 
 class TestClassifyL1A:
     def test_minus_2x_minus_1_needs_2(self):
-        expect(classify_L1A_linear(linear(-2, -1), PrimeSet([2])),
+        expect(classify(linear(-2, -1), 1, PrimeSet([2])),
                True, STRICTLY_LOCAL, citation="Thm3.4")
-        expect(classify_L1A_linear(linear(-2, -1), PrimeSet([3])),
+        expect(classify(linear(-2, -1), 1, PrimeSet([3])),
                False, citation="Thm3")
 
     def test_supported_slope(self):
-        expect(classify_L1A_linear(linear(6, 1), PrimeSet([2, 3])),
+        expect(classify(linear(6, 1), 1, PrimeSet([2, 3])),
                True, STRICTLY_LOCAL, citation="Thm3.3")
-        expect(classify_L1A_linear(linear(6, 1), PrimeSet([2])),
+        expect(classify(linear(6, 1), 1, PrimeSet([2])),
                False, citation="Thm3")
 
     def test_supported_shift(self):
-        expect(classify_L1A_linear(linear(1, 8), PrimeSet([2])),
+        expect(classify(linear(1, 8), 1, PrimeSet([2])),
                True, STRICTLY_LOCAL, citation="Thm3.1")
-        expect(classify_L1A_linear(linear(1, -8), PrimeSet([2])),
+        expect(classify(linear(1, -8), 1, PrimeSet([2])),
                True, STRICTLY_LOCAL, citation="Thm3.1")
-        expect(classify_L1A_linear(linear(1, 6), PrimeSet([2])),
+        expect(classify(linear(1, 6), 1, PrimeSet([2])),
                False, citation="Thm3")
 
     def test_x_minus_one_under_item_one(self):
-        expect(classify_L1A_linear(linear(1, -1), PrimeSet([5])),
+        expect(classify(linear(1, -1), 1, PrimeSet([5])),
                True, NILPOTENT, 1, "Thm3.1")
 
-    def test_scaled_root(self):
-        expect(classify_L1A_linear(linear(-7, 7), PrimeSet()),
-               True, NILPOTENT, 1, "Thm3.2")
-
     def test_index_two_item(self):
-        expect(classify_L1A_linear(linear(-2, 4), PrimeSet([7])),
+        expect(classify(linear(-2, 4), 1, PrimeSet([7])),
                True, NILPOTENT, 2, "Thm3.5")
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            classify_L1A_linear(parse_poly("x^2+1"), PrimeSet())
-
-    def test_empty_A_matches_theorem_one_on_linear(self):
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                if a == 0:
-                    continue
-                u = linear(a, b)
-                lhs = classify_L1A_linear(u, PrimeSet())
-                rhs = classify_L1(u)
-                assert (lhs.member, lhs.subclass, lhs.index) == (
-                    rhs.member, rhs.subclass, rhs.index,
-                ), str(u)
 
 
 class TestClassifySr:
     def test_supported_positive_shift(self):
-        expect(classify_Sr_linear(linear(1, 5), 10), True, STRICTLY_LOCAL,
-               citation="Thm4.1")
+        expect(classify(linear(1, 5), 10), True, STRICTLY_LOCAL, citation="Thm4.1")
 
     def test_negative_shift_needs_excess_exponent(self):
-        expect(classify_Sr_linear(linear(1, -4), 6), True, STRICTLY_LOCAL,
-               citation="Thm4.2")
-        v = classify_Sr_linear(linear(1, -2), 6)
-        expect(v, False, citation="Thm4")
-        assert "nilpotent" in v.note
-
-    def test_nilpotent_note_names_the_start_point(self):
-        v = classify_Sr_linear(linear(1, 3), -6)
-        expect(v, False, citation="Cor4")
-        assert v.note == "nilpotent at -6 (index 2), hence not strictly local"
-        v = classify_Sr_linear(linear(1, -3), 6)
-        expect(v, False, citation="Thm4")
-        assert v.note == "nilpotent at 6 (index 2), hence not strictly local"
-
-    @pytest.mark.parametrize("a, b, r, index", [
-        (2, -12, 6, 1),    # 2*6 - 12 = 0
-        (2, -4, 3, 2),     # 3 -> 2 -> 0
-        (-2, 8, 2, 2),     # 2 -> 4 -> 0
-        (3, -9, 4, 2),     # 4 -> 3 -> 0
-        (-3, -18, -6, 1),  # -3*(-6) - 18 = 0
-        (-1, 6, 6, 1),     # -6 + 6 = 0
-    ])
-    def test_nilpotent_slope_gets_the_nilpotent_note(self, a, b, r, index):
-        u = linear(a, b)
-        outcome = decide_nilpotency(u, r)
-        assert outcome.index == index
-        v = classify_Sr_linear(u, r)
-        expect(v, False, citation="Thm4" if r > 0 else "Cor4")
-        assert v.note == f"nilpotent at {r} (index {index}), hence not strictly local"
+        expect(classify(linear(1, -4), 6), True, STRICTLY_LOCAL, citation="Thm4.2")
 
     def test_slope_item(self):
-        expect(classify_Sr_linear(linear(-2, 6), 6), True, STRICTLY_LOCAL,
+        expect(classify(linear(-2, 6), 6), True, STRICTLY_LOCAL,
                citation="Thm4.3")
-        expect(classify_Sr_linear(linear(9, 6), 6), True, STRICTLY_LOCAL,
+        expect(classify(linear(9, 6), 6), True, STRICTLY_LOCAL,
                citation="Thm4.3")
 
     def test_minus_2x_minus_r_even_only(self):
-        expect(classify_Sr_linear(linear(-2, -6), 6), True, STRICTLY_LOCAL,
+        expect(classify(linear(-2, -6), 6), True, STRICTLY_LOCAL,
                citation="Thm4.4")
-        expect(classify_Sr_linear(linear(-2, -9), 9), False, citation="Thm4")
+        expect(classify(linear(-2, -9), 9), False, citation="Thm4")
 
     def test_negative_r_mirrors(self):
-        expect(classify_Sr_linear(linear(-2, 6), -6), True, STRICTLY_LOCAL,
+        expect(classify(linear(-2, 6), -6), True, STRICTLY_LOCAL,
                citation="Cor4.4")
-        expect(classify_Sr_linear(linear(1, -5), -10), True, STRICTLY_LOCAL,
+        expect(classify(linear(1, -5), -10), True, STRICTLY_LOCAL,
                citation="Cor4.1")
 
     def test_non_member(self):
-        expect(classify_Sr_linear(linear(2, -3), 6), False, citation="Thm4")
-        # gamma = -beta gives -x+6 at 6 an exponent, but its orbit 6 -> 0
-        # is nilpotent, and slope -1 is outside the power condition.
-        expect(classify_Sr_linear(linear(-1, 6), 6), False, citation="Thm4")
+        expect(classify(linear(2, -3), 6), False, citation="Thm4")
 
     def test_power_condition_members_outside_cataloged_shapes(self):
         """Genuine strictly-local members the four-shape catalog misses;
         certificate sweeps to 10^4 found no refuting prime for any."""
         for a, b in [(2, 2), (-2, 2), (-3, -3), (-4, -2)]:
-            v = classify_Sr_linear(linear(a, b), 6)
+            v = classify(linear(a, b), 6)
             expect(v, True, STRICTLY_LOCAL, citation="Rem3")
             assert "power condition" in v.note
         # the mirrors at r=-6, via negate-conjugation
         for a, b in [(2, -2), (-2, -2), (-3, 3), (-4, 2)]:
-            expect(classify_Sr_linear(linear(a, b), -6), True, STRICTLY_LOCAL,
+            expect(classify(linear(a, b), -6), True, STRICTLY_LOCAL,
                    citation="Rem3")
 
     def test_power_condition_members_never_refuted(self):
         for a, b in [(2, 2), (-2, 2), (-3, -3), (-4, -2)]:
             report = certify_local(linear(a, b), 6, None, 1000)
             assert report.consistent
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            classify_Sr_linear(parse_poly("x^2"), 6)
-        with pytest.raises(ValueError):
-            classify_Sr_linear(linear(1, 1), 1)
 
 
 class TestDispatcher:
@@ -527,7 +465,7 @@ class TestOneVerdictAtMinusOne:
             u = Polynomial(coeffs)
             if u.is_zero():
                 continue
-            mirror = classify_L1(u.negate_conjugate())
+            mirror = classify(u.negate_conjugate(), 1)
             assert classify(u, -1) == dataclasses.replace(
                 mirror, citation=mirror_item(mirror.citation)), u
 
@@ -592,7 +530,6 @@ class TestThm1ByRootValues:
     def test_at_one(self):
         for u in self.MAPS:
             expected = dataclasses.asdict(polynomial_route_L1(u))
-            assert dataclasses.asdict(classify_L1(u)) == expected, u
             assert dataclasses.asdict(classify(u, 1)) == expected, u
 
     def test_at_minus_one(self):
@@ -612,7 +549,6 @@ class TestThm2ByTheOrbitAtZero:
         for u in self.MAPS:
             expected = dataclasses.asdict(route_L0(u))
             assert dataclasses.asdict(classify(u, 0)) == expected, u
-            assert dataclasses.asdict(classify_L0(u)) == expected, u
 
     @staticmethod
     def maps_near_a_root_at_the_constant():

@@ -355,6 +355,17 @@ class TestCapsAndBounds:
         monkeypatch.setenv(name, "1")
         assert run_cli(capsys, "orbit", "-u", "x+1", "-r", "1")[0] == EXIT_OK
 
+    @pytest.mark.parametrize("bound", ["1", "0", "-5"])
+    def test_prime_bound_variable_below_two_refused(self, capsys, monkeypatch, bound):
+        monkeypatch.setenv("POLYORBIT_PRIME_BOUND", bound)
+        code, out, err = run_cli(capsys, "certify", "-u", "x+1", "-r", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == ("error: environment variable POLYORBIT_PRIME_BOUND must "
+                       f"be >= 2, got {bound}\n")
+        monkeypatch.setenv("POLYORBIT_PRIME_BOUND", "2")
+        assert run_cli(capsys, "certify", "-u", "x+1", "-r", "1")[0] == EXIT_OK
+
     @pytest.mark.parametrize("name, command, line", [
         ("POLYORBIT_PRIME_BOUND", "certify", "prime bound (default 50)"),
         ("POLYORBIT_TRAP_CAP", "trap", "p^2 points each (default 50)"),

@@ -1,10 +1,13 @@
 """The additive-trap map over F_p, verified exhaustively per prime."""
 
+import json
 import random
 import tracemalloc
 
 import pytest
 
+import polyorbit.cli
+import polyorbit.trap
 from polyorbit import (
     BudgetExceededError,
     TrapPoint,
@@ -12,8 +15,8 @@ from polyorbit import (
     trap_first_hits,
     trap_fixed_points,
     trap_step,
-    verify_trap_nilpotence,
 )
+from polyorbit.cli import main
 from polyorbit.trap import TRAP_CAP_MAX
 
 
@@ -41,7 +44,7 @@ class TestTrapStep:
 class TestNilpotence:
     @pytest.mark.parametrize("p", primes_up_to(31))
     def test_every_point_reaches_origin(self, p):
-        assert verify_trap_nilpotence(p)
+        assert all(trap_first_hits(p).values())
 
     @pytest.mark.parametrize("p", primes_up_to(31))
     def test_first_hit_within_p_steps(self, p):
@@ -56,12 +59,12 @@ class TestNilpotence:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            verify_trap_nilpotence(103, cap=101)
-        assert verify_trap_nilpotence(103, cap=103)
+            trap_first_hits(103, cap=101)
+        assert len(trap_first_hits(103, cap=103)) == 103 * 103
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
-            verify_trap_nilpotence(9)
+            trap_first_hits(9)
 
 
 class TestFixedPoints:
@@ -161,11 +164,32 @@ def test_fixed_points_match_a_brute_force_scan(p):
 
 
 @pytest.mark.parametrize("p", [2, 7, 101])
-def test_nilpotence_reads_no_point_keyed_dict(p, monkeypatch):
-    def keyed(*args, **kwargs):
-        raise AssertionError("trap_first_hits called")
-    monkeypatch.setattr("polyorbit.trap.trap_first_hits", keyed)
-    assert verify_trap_nilpotence(p)
+def test_nilpotence_reads_no_point_keyed_dict(p, monkeypatch, capsys):
+    """The trap command reports each prime's nilpotence and largest first
+    hit from the ratio lemma and builds no first hits; the first hits
+    agree with what it reports."""
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(polyorbit.trap, "_first_hits")
+    spy(polyorbit.cli, "trap_first_hits")
+    code = main(["trap", "--primes", str(p), "--output", "json"])
+    rows = json.loads(capsys.readouterr().out)["result"]["primes"]
+    assert calls == []
+    monkeypatch.undo()
+    assert code == 0
+    assert [row["p"] for row in rows] == primes_up_to(p)
+    for row in rows:
+        hits = trap_first_hits(row["p"]).values()
+        assert row["nilpotent_by_step_p"] is True and all(hits)
+        assert row["max_first_hit"] == row["p"] == max(hits)
 
 
 class TestFirstHitsView:
