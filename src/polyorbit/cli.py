@@ -256,15 +256,15 @@ def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
     per_prime = []
     all_ok = True
     for p in primes_up_to(args.prime_bound):
-        fixed = trap_fixed_points(p, cap=args.trap_cap)
-        all_ok = all_ok and [(pt.x, pt.y) for pt in fixed] == [(0, 0)]
+        fixed = [[pt.x, pt.y] for pt in trap_fixed_points(p, cap=args.trap_cap)]
+        all_ok = all_ok and fixed == [[0, 0]]
         # By the ratio lemma (see polyorbit.trap) every first hit lies in
         # [1, p] and ratio 1 takes exactly p steps.
         per_prime.append({
             "p": p,
             "nilpotent_by_step_p": True,
             "max_first_hit": p,
-            "fixed_points": [[pt.x, pt.y] for pt in fixed],
+            "fixed_points": fixed,
         })
     result = {"all_ok": all_ok, "primes": per_prime}
     return (EXIT_OK if all_ok else EXIT_REFUTED), result
