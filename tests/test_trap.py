@@ -183,7 +183,6 @@ def test_nilpotence_reads_no_point_keyed_dict(p, monkeypatch, capsys):
     code = main(["trap", "--primes", str(p), "--output", "json"])
     rows = json.loads(capsys.readouterr().out)["result"]["primes"]
     assert calls == []
-    monkeypatch.undo()
     assert code == 0
     assert [row["p"] for row in rows] == primes_up_to(p)
     for row in rows:
