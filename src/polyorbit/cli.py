@@ -6,11 +6,11 @@ fixed point other than (0,0)); 3 = budget exhausted / undecided.
 
 JSON mode emits one top-level document {command, inputs, result,
 citations, timings}; human mode prints the same content as text. Defaults
-for the prime bound, orbit caps and trap cap can be overridden with the
-POLYORBIT_PRIME_BOUND, POLYORBIT_MAX_STEPS, POLYORBIT_MAX_BITS and
-POLYORBIT_TRAP_CAP environment variables. An orbit cap below 1 or a trap
-cap below 2, by flag or by variable, is a usage error, and so is a prime
-bound below 2.
+for the prime bound and the orbit caps can be overridden with the
+POLYORBIT_PRIME_BOUND, POLYORBIT_MAX_STEPS and POLYORBIT_MAX_BITS
+environment variables. An orbit cap below 1 or a prime bound below 2, by
+flag or by variable, is a usage error. trap sweeps the primes up to the
+prime bound, and a bound above trap.TRAP_CAP_MAX (1000) is a budget error.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .orbits import (
 from .polynomials import Polynomial, PolynomialSyntaxError, ReductionError, parse_poly
 # Unused here; trap_first_hits stays bound because perfbench/spans.py wraps
 # polyorbit.cli.trap_first_hits by name.
-from .trap import (TRAP_CAP_DEFAULT, check_trap_budget,  # noqa: F401
-                   trap_first_hits, trap_fixed_points)
+from .trap import check_trap_budget, trap_first_hits, trap_fixed_points  # noqa: F401
 from .verify import SearchSpace, explore_LN_of_u, explore_N_of_u, verify_theorem
 
 EXIT_OK = 0
@@ -117,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     prime_bound = _env_int("POLYORBIT_PRIME_BOUND", 300, 2)
     max_steps = _env_int("POLYORBIT_MAX_STEPS", MAX_STEPS_DEFAULT, 1)
     max_bits = _env_int("POLYORBIT_MAX_BITS", MAX_BITS_DEFAULT, 1)
-    trap_cap = _env_int("POLYORBIT_TRAP_CAP", TRAP_CAP_DEFAULT, 2)
 
     def command(name, help, poly=False, r=False, A=False, primes=False, caps=False):
         p = sub.add_parser(name, help=help)
@@ -160,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--set", choices=("N", "LN"), default="N")
     _add_input(p, "--r-bound", type=int, default=10)
 
-    p = command("trap", "verify the additive-trap properties per prime", primes=True)
-    p.add_argument("--trap-cap", type=_int_at_least(2), default=trap_cap,
-                   help="largest prime swept, p^2 points each (default %(default)s)")
+    command("trap", "verify the additive-trap properties per prime", primes=True)
 
     p = command("lemma1", "cyclic-subgroup witness primes", primes=True)
     _add_input(p, "--alpha", type=int, required=True)
@@ -177,7 +173,7 @@ def _caps(args: argparse.Namespace) -> dict:
     return {"max_steps": args.max_steps, "max_bits": args.max_bits}
 
 
-def _orbit_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _orbit_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     outcome = decide_nilpotency(args.poly, args.r, **_caps(args))
     result = {"kind": outcome.kind.value, "steps_used": outcome.steps_used}
     if outcome.index is not None:
@@ -189,10 +185,10 @@ def _orbit_result(args: argparse.Namespace) -> tuple[int, dict]:
         step, value, bound = outcome.escape_data
         result["escape_data"] = {"step": step, "value": value, "bound": bound}
     code = EXIT_UNDECIDED if outcome.kind is OrbitKind.EXHAUSTED else EXIT_OK
-    return code, result
+    return code, result, []
 
 
-def _classify_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _classify_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     v = classify(args.poly, args.r, args.A, **_caps(args))
     result = {
         "decidable": v.decidable,
@@ -202,10 +198,11 @@ def _classify_result(args: argparse.Namespace) -> tuple[int, dict]:
         "citation": v.citation,
         "note": v.note,
     }
-    return (EXIT_OK if v.decidable else EXIT_UNDECIDED), result
+    citations = [v.citation] if v.citation else []
+    return (EXIT_OK if v.decidable else EXIT_UNDECIDED), result, citations
 
 
-def _certify_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _certify_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     report = certify_local(args.poly, args.r, args.A, args.prime_bound)
     certs = []
     for cert in report.certificates:
@@ -221,42 +218,43 @@ def _certify_result(args: argparse.Namespace) -> tuple[int, dict]:
         "prime_bound": report.prime_bound,
         "certificates": certs,
     }
-    return (EXIT_OK if report.consistent else EXIT_REFUTED), result
+    return (EXIT_OK if report.consistent else EXIT_REFUTED), result, []
 
 
-def _verify_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _verify_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     space = SearchSpace(
         degree=args.degree, coeff_bound=args.coeff_bound, r=args.r,
         A=args.A, prime_bound=args.prime_bound,
     )
     report = verify_theorem(space, **_caps(args))
     code = EXIT_REFUTED if report.discrepancies else EXIT_OK
-    return code, report.to_dict()
+    return code, report.to_dict(), sorted(report.per_item_citations)
 
 
-def _explore_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _explore_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     if args.set == "N":
         found = explore_N_of_u(args.poly, args.r_bound, **_caps(args))
         entries = [{"r": r, "index": idx} for r, idx in found]
         undecided = any(idx is None for _, idx in found)
+        citations = []
     else:
         statuses = explore_LN_of_u(
             args.poly, args.r_bound, args.prime_bound, **_caps(args)
         )
         entries = [e.to_dict() for e in statuses]
         undecided = any(e.status == "undecided" for e in statuses)
+        citations = list(dict.fromkeys(e.citation for e in statuses if e.citation))
     result = {"set": args.set, "r_bound": args.r_bound, "entries": entries}
-    return (EXIT_UNDECIDED if undecided else EXIT_OK), result
+    return (EXIT_UNDECIDED if undecided else EXIT_OK), result, citations
 
 
-def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
-    args.prime_bound = min(args.prime_bound, args.trap_cap)  # the bound swept
+def _trap_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     check_trap_budget(args.prime_bound)
     check_prime_bound(args.prime_bound)
     per_prime = []
     all_ok = True
     for p in primes_up_to(args.prime_bound):
-        fixed = [[pt.x, pt.y] for pt in trap_fixed_points(p, cap=args.trap_cap)]
+        fixed = [[pt.x, pt.y] for pt in trap_fixed_points(p)]
         all_ok = all_ok and fixed == [[0, 0]]
         # By the ratio lemma (see polyorbit.trap) every first hit lies in
         # [1, p] and ratio 1 takes exactly p steps.
@@ -267,19 +265,19 @@ def _trap_result(args: argparse.Namespace) -> tuple[int, dict]:
             "fixed_points": fixed,
         })
     result = {"all_ok": all_ok, "primes": per_prime}
-    return (EXIT_OK if all_ok else EXIT_REFUTED), result
+    return (EXIT_OK if all_ok else EXIT_REFUTED), result, []
 
 
-def _lemma1_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _lemma1_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     witnesses = lemma1_witnesses(args.alpha, args.beta, args.gamma, args.prime_bound)
     result = {
         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
         "prime_bound": args.prime_bound, "witnesses": witnesses,
     }
-    return EXIT_OK, result
+    return EXIT_OK, result, []
 
 
-def _reduce_result(args: argparse.Namespace) -> tuple[int, dict]:
+def _reduce_result(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     u, r = args.poly, args.r
     # The leading coefficient of u(r*x)/r is a multiple of r^(degree - 1), of
     # at least (degree - 1)*(bits(r) - 1) + 1 bits. Past log2(10) < 3.322 bits
@@ -293,9 +291,10 @@ def _reduce_result(args: argparse.Namespace) -> tuple[int, dict]:
         text = str(reduced)
     except ValueError:  # the interpreter's integer string conversion limit
         raise _too_long_to_print() from None
-    return EXIT_OK, {"poly": str(u), "r": r, "reduced": text}
+    return EXIT_OK, {"poly": str(u), "r": r, "reduced": text}, []
 
 
+# Each handler returns (exit code, result, the citations the result rests on).
 _HANDLERS = {
     "orbit": _orbit_result,
     "classify": _classify_result,
@@ -328,30 +327,15 @@ REPORT_SCHEMA = {
 }
 
 
-def _collect_citations(result: dict) -> list[str]:
-    if "citation" in result and result["citation"]:
-        return [result["citation"]]
-    if "per_item_citations" in result:
-        return sorted(result["per_item_citations"])
-    if "entries" in result:
-        seen = []
-        for entry in result["entries"]:
-            c = entry.get("citation") if isinstance(entry, dict) else None
-            if c and c not in seen:
-                seen.append(c)
-        return seen
-    return []
-
-
 def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Dispatch parsed arguments; returns (exit code, report document)."""
     start = time.perf_counter()
-    code, result = _HANDLERS[args.command](args)
+    code, result, citations = _HANDLERS[args.command](args)
     doc = {
         "command": args.command,
         "inputs": {key: _echo(getattr(args, key)) for key in args.inputs},
         "result": result,
-        "citations": _collect_citations(result),
+        "citations": citations,
         "timings": {"wall_s": round(time.perf_counter() - start, 6)},
     }
     return code, doc

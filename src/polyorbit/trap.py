@@ -35,7 +35,6 @@ from itertools import product
 from .modular import is_prime
 from .orbits import BudgetExceededError
 
-TRAP_CAP_DEFAULT = 101
 TRAP_CAP_MAX = 1000
 
 
@@ -77,12 +76,10 @@ def check_trap_budget(bound: int) -> None:
         )
 
 
-def _check_prime_cap(p: int, cap: int) -> None:
+def _check_prime(p: int) -> None:
     check_trap_budget(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > cap:
-        raise ValueError(f"p={p} exceeds the cap {cap} (p^2 points)")
 
 
 def _first_hits(p: int) -> list[int]:
@@ -141,18 +138,20 @@ class FirstHits(Mapping[tuple[int, int], int]):
         return f"FirstHits({self.p}, {self._hits!r})"
 
 
-def trap_first_hits(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> FirstHits:
+def trap_first_hits(p: int) -> FirstHits:
     """For every start point (x, y), the first step n >= 1 at which the n-th
     iterate is (0,0), from the ratio lemma; every value lies in [1, p]. The
     answer is a read-only Mapping[tuple[int, int], int] over one flat list
-    of p^2 ints (see FirstHits), equal to the dict of the same items."""
-    _check_prime_cap(p, cap)
+    of p^2 ints (see FirstHits), equal to the dict of the same items. A
+    prime above TRAP_CAP_MAX is refused before anything is built."""
+    _check_prime(p)
     return FirstHits(p, _first_hits(p))
 
 
-def trap_fixed_points(p: int, *, cap: int = TRAP_CAP_DEFAULT) -> list[TrapPoint]:
-    """All fixed points of the map over F_p; expected exactly [(0,0)]."""
-    _check_prime_cap(p, cap)
+def trap_fixed_points(p: int) -> list[TrapPoint]:
+    """All fixed points of the map over F_p; expected exactly [(0,0)]. A
+    prime above TRAP_CAP_MAX is refused before the scan."""
+    _check_prime(p)
     # A fixed point has x^2*y = x, so the second coordinate, x + x*y^2,
     # is needed only where that holds.
     return [TrapPoint(x, y, p)

@@ -179,14 +179,15 @@ def _findings(
     return found
 
 
-def _check_box_budget(space: SearchSpace, budget: int) -> None:
-    """Refuse a box of more than budget candidates. The count is compared
-    with the budget one factor 2c+1 at a time, so a box far over it is
-    refused after a few multiplications. The message gives the exact count
-    only when the power has at most EXACT_COUNT_BITS bits; otherwise the
-    lower bound 2^((degree+1)(bit_length(2c+1)-1)), which holds because
-    2c+1 is odd, so above 2^(bit_length-1) for c >= 1 (c = 0 always takes
-    the exact count)."""
+def _check_box_budget(space: SearchSpace) -> None:
+    """Refuse a box of more than CANDIDATE_BUDGET_DEFAULT candidates. The
+    count is compared with the budget one factor 2c+1 at a time, so a box
+    far over it is refused after a few multiplications. The message gives
+    the exact count only when the power has at most EXACT_COUNT_BITS bits;
+    otherwise the lower bound 2^((degree+1)(bit_length(2c+1)-1)), which
+    holds because 2c+1 is odd, so above 2^(bit_length-1) for c >= 1 (c = 0
+    always takes the exact count)."""
+    budget = CANDIDATE_BUDGET_DEFAULT
     base = 2 * space.coeff_bound + 1
     power = 1
     for _ in range(space.degree + 1):
@@ -206,9 +207,7 @@ def _check_box_budget(space: SearchSpace, budget: int) -> None:
     raise BudgetExceededError(f"{text} candidates exceed the budget of {budget}")
 
 
-def verify_theorem(
-    space: SearchSpace, *, budget: int = CANDIDATE_BUDGET_DEFAULT, **caps
-) -> SearchReport:
+def verify_theorem(space: SearchSpace, **caps) -> SearchReport:
     """Classify every candidate and compare the verdict with the evidence:
     the exact orbit decision (under the decide_nilpotency caps given as
     keywords) and, for a decidable verdict on an orbit that never reaches
@@ -219,10 +218,11 @@ def verify_theorem(
     subclass or index mismatch; a classified member that some prime
     refutes. Flagged for review instead: an orbit the caps leave
     undecided, and a classified non-member that no prime refutes. Caps
-    below 1 are refused.
+    below 1 are refused, and so is a box of more than
+    CANDIDATE_BUDGET_DEFAULT candidates.
     """
     check_caps(**caps)
-    _check_box_budget(space, budget)
+    _check_box_budget(space)
     start = time.perf_counter()
     totals: Counter = Counter()
     citations: Counter = Counter()

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, JSON schema conformance, determinism."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -217,7 +219,7 @@ class TestPlumbing:
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "polyorbit", "trap", "--primes", "7",
-                 "--trap-cap", "5", "--output", "json"],
+                 "--output", "json"],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
                 timeout=60,
             )
@@ -248,8 +250,7 @@ class TestPlumbing:
 
 class TestCapsAndBounds:
     @pytest.mark.parametrize("name", [
-        "POLYORBIT_PRIME_BOUND", "POLYORBIT_MAX_STEPS",
-        "POLYORBIT_MAX_BITS", "POLYORBIT_TRAP_CAP",
+        "POLYORBIT_PRIME_BOUND", "POLYORBIT_MAX_STEPS", "POLYORBIT_MAX_BITS",
     ])
     def test_malformed_env_is_usage_error(self, capsys, monkeypatch, name):
         monkeypatch.setenv(name, "abc")
@@ -280,10 +281,35 @@ class TestCapsAndBounds:
         assert run_cli(capsys, *command, cap, "5")[0] == EXIT_USAGE
 
     def test_trap_reports_the_bound_it_swept(self, capsys):
-        code, doc = run_json(capsys, "trap", "--primes", "7", "--trap-cap", "5")
+        code, doc = run_json(capsys, "trap", "--primes", "7")
         assert code == EXIT_OK
-        assert doc["inputs"] == {"prime_bound": 5}
-        assert [entry["p"] for entry in doc["result"]["primes"]] == [2, 3, 5]
+        assert doc["inputs"] == {"prime_bound": 7}
+        assert [entry["p"] for entry in doc["result"]["primes"]] == [2, 3, 5, 7]
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_trap_sweeps_a_bound_past_101(self, capsys, monkeypatch, via_env):
+        if via_env:
+            monkeypatch.setenv("POLYORBIT_PRIME_BOUND", "211")
+            code, doc = run_json(capsys, "trap")
+        else:
+            code, doc = run_json(capsys, "trap", "--primes", "211")
+        assert code == EXIT_OK
+        assert doc["inputs"] == {"prime_bound": 211}
+        swept = [entry["p"] for entry in doc["result"]["primes"]]
+        assert swept == polyorbit.modular.primes_up_to(211)
+        assert len(swept) == 47
+
+    def test_bare_trap_sweeps_the_bound_its_help_shows(self, capsys, monkeypatch):
+        monkeypatch.delenv("POLYORBIT_PRIME_BOUND", raising=False)
+        code, out, _ = run_cli(capsys, "trap", "-h")
+        assert code == EXIT_OK
+        shown = int(re.search(r"prime bound \(default (\d+)\)",
+                              " ".join(out.split())).group(1))
+        code, doc = run_json(capsys, "trap")
+        assert code == EXIT_OK
+        assert doc["inputs"] == {"prime_bound": shown}
+        swept = [entry["p"] for entry in doc["result"]["primes"]]
+        assert swept == polyorbit.modular.primes_up_to(shown)
 
     @pytest.mark.parametrize("command", [
         ["verify-theorem", "-r", "1", "--degree", "1", "--coeff-bound", "1"],
@@ -314,25 +340,6 @@ class TestCapsAndBounds:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: prime bound must be >= 2, got {bound}\n"
-
-    @pytest.mark.parametrize("command", [
-        ["trap", "--trap-cap", "1"], ["trap", "--primes", "7", "--trap-cap", "0"],
-        ["trap", "--primes", "1", "--trap-cap", "1"],
-    ])
-    def test_trap_cap_below_two_is_named_in_its_error(self, capsys, command):
-        code, out, err = run_cli(capsys, *command)
-        cap = command[-1]
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.endswith(f"error: argument --trap-cap: must be >= 2, got {cap}\n")
-
-    def test_trap_cap_variable_below_two_is_named_in_its_error(self, capsys,
-                                                               monkeypatch):
-        monkeypatch.setenv("POLYORBIT_TRAP_CAP", "1")
-        code, out, err = run_cli(capsys, "trap", "--primes", "7")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "error: environment variable POLYORBIT_TRAP_CAP must be >= 2, got 1\n"
 
     @pytest.mark.parametrize("command", [
         ["orbit", "-u", "x+1", "-r", "1"], ["classify", "-u", "2x+6", "-r", "6"],
@@ -366,10 +373,27 @@ class TestCapsAndBounds:
         monkeypatch.setenv("POLYORBIT_PRIME_BOUND", "2")
         assert run_cli(capsys, "certify", "-u", "x+1", "-r", "1")[0] == EXIT_OK
 
+    def test_documented_variables_are_the_ones_read(self, monkeypatch):
+        """Every POLYORBIT_* name that README.md or the cli docstring names
+        is read by build_parser, and every name it reads is in both."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        pattern = re.compile(r"POLYORBIT_[A-Z_]*[A-Z]")
+        in_readme = set(pattern.findall(readme))
+        in_doc = set(pattern.findall(polyorbit.cli.__doc__))
+        read = set(re.findall(r'_env_int\("(POLYORBIT_\w+)"',
+                              inspect.getsource(polyorbit.cli)))
+        assert read and read <= in_readme and read <= in_doc
+        for name in sorted(in_readme | in_doc):
+            monkeypatch.setenv(name, "abc")
+            with pytest.raises(polyorbit.cli.UsageError, match=name):
+                polyorbit.cli.build_parser()
+            monkeypatch.delenv(name)
+
     @pytest.mark.parametrize("name, command, line", [
         ("POLYORBIT_PRIME_BOUND", "certify", "prime bound (default 50)"),
-        ("POLYORBIT_TRAP_CAP", "trap", "p^2 points each (default 50)"),
+        ("POLYORBIT_PRIME_BOUND", "trap", "prime bound (default 50)"),
         ("POLYORBIT_MAX_STEPS", "orbit", "before undecided (default 50)"),
+        ("POLYORBIT_MAX_BITS", "orbit", "value bits before undecided (default 50)"),
     ])
     def test_help_shows_the_default_in_force(self, capsys, monkeypatch, name,
                                              command, line):
@@ -402,21 +426,15 @@ class TestCapsAndBounds:
     def test_trap_bound_over_the_trap_budget(self, capsys, monkeypatch,
                                              small_peak, bound, via_env):
         if via_env:
-            monkeypatch.setenv("POLYORBIT_TRAP_CAP", str(bound))
-            command = ["trap", "--primes", str(bound)]
+            monkeypatch.setenv("POLYORBIT_PRIME_BOUND", str(bound))
+            command = ["trap"]
         else:
-            command = ["trap", "--primes", str(bound), "--trap-cap", str(bound)]
+            command = ["trap", "--primes", str(bound)]
         code, out, err = run_cli(capsys, *command)
         assert code == EXIT_UNDECIDED
         assert out == ""
         assert err == (f"budget exhausted: trap bound {bound} exceeds the "
                        f"budget of {TRAP_CAP_MAX} (p^2 points per prime p)\n")
-
-    def test_trap_cap_alone_may_exceed_the_trap_budget(self, capsys):
-        code, doc = run_json(capsys, "trap", "--primes", "7",
-                             "--trap-cap", "1000000000")
-        assert code == EXIT_OK
-        assert doc["inputs"] == {"prime_bound": 7}
 
     @pytest.mark.parametrize("command", [
         ["classify", "-u", "x+1", "-r", "1", "-A", str(10**15 + 37)],

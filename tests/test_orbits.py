@@ -388,10 +388,11 @@ class TestCapsBelowOne:
     def test_a_cap_of_one_is_accepted(self, name):
         self._entry_points(6)[name](max_steps=1, max_bits=1)
 
-    def test_refused_before_the_other_arguments_are_checked(self):
+    def test_refused_before_the_other_arguments_are_checked(self, monkeypatch):
+        monkeypatch.setattr("polyorbit.verify.CANDIDATE_BUDGET_DEFAULT", 10)
         u = linear(2, 6)
         calls = [
-            lambda **caps: verify_theorem(SearchSpace(2, 9, 6), budget=10, **caps),
+            lambda **caps: verify_theorem(SearchSpace(2, 9, 6), **caps),
             lambda **caps: explore_N_of_u(u, -1, **caps),
             lambda **caps: explore_LN_of_u(u, -1, 20, **caps),
         ]

@@ -57,11 +57,6 @@ class TestNilpotence:
         hits = trap_first_hits(2)
         assert hits == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            trap_first_hits(103, cap=101)
-        assert len(trap_first_hits(103, cap=103)) == 103 * 103
-
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             trap_first_hits(9)
@@ -71,6 +66,16 @@ class TestFixedPoints:
     @pytest.mark.parametrize("p", [2, 7, 13])
     def test_origin_is_unique(self, p):
         assert trap_fixed_points(p) == [TrapPoint(0, 0, p)]
+
+
+class TestNoCapBelowTheBudget:
+    """Every prime up to TRAP_CAP_MAX is answered, 101 < p included."""
+
+    def test_first_hits(self):
+        assert len(trap_first_hits(103)) == 103 * 103
+
+    def test_fixed_points(self):
+        assert trap_fixed_points(103) == [TrapPoint(0, 0, 103)]
 
 
 @pytest.mark.parametrize("p", primes_up_to(13))
@@ -115,7 +120,7 @@ def test_sampled_first_hits_match_plain_walk(p):
     rng = random.Random(p)
     points = [(0, 0), (0, p - 1), (p - 1, 0), (1, 1), (1, p - 1), (p - 1, 1)]
     points += [(rng.randrange(p), rng.randrange(p)) for _ in range(64)]
-    hits = trap_first_hits(p, cap=p)
+    hits = trap_first_hits(p)
     for x, y in points:
         assert hits[(x, y)] == _walk_first_hit(x, y, p), (x, y)
     assert hits[(1, 1)] == p
@@ -128,14 +133,14 @@ class TestTrapBudget:
                                                             small_peak):
         assert p > TRAP_CAP_MAX
         with pytest.raises(BudgetExceededError, match="trap bound"):
-            check(p, cap=p)
+            check(p)
 
     def test_budget_admits_its_own_bound(self, monkeypatch):
         monkeypatch.setattr("polyorbit.trap.TRAP_CAP_MAX", 7)
-        assert len(trap_first_hits(7, cap=100)) == 49
-        assert trap_fixed_points(7, cap=100) == [TrapPoint(0, 0, 7)]
+        assert len(trap_first_hits(7)) == 49
+        assert trap_fixed_points(7) == [TrapPoint(0, 0, 7)]
         with pytest.raises(BudgetExceededError):
-            trap_first_hits(11, cap=100)
+            trap_first_hits(11)
 
 
 PRIMES_TO_101 = primes_up_to(101)
@@ -239,7 +244,7 @@ class TestFirstHitsView:
     def test_holds_one_flat_list(self):
         tracemalloc.start()
         try:
-            hits = trap_first_hits(211, cap=211)
+            hits = trap_first_hits(211)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -81,20 +81,23 @@ class TestSearchSpace:
                                                   coeff_bound):
         """With no count computed in full, every message is a true bound."""
         monkeypatch.setattr(verify, "EXACT_COUNT_BITS", 0)
+        monkeypatch.setattr(verify, "CANDIDATE_BUDGET_DEFAULT", 0)
         space = SearchSpace(degree=degree, coeff_bound=coeff_bound, r=1)
         with pytest.raises(BudgetExceededError) as caught:
-            verify_theorem(space, budget=0)
+            verify_theorem(space)
         exponent = int(re.match(r"at least 2\^(\d+) ", str(caught.value)).group(1))
         assert 2**exponent <= space.cardinality
 
     @pytest.mark.parametrize("degree, coeff_bound", [(1, 1), (3, 2), (2, 9)])
-    def test_budget_admits_its_own_count(self, degree, coeff_bound):
+    def test_budget_admits_its_own_count(self, monkeypatch, degree, coeff_bound):
         space = SearchSpace(degree=degree, coeff_bound=coeff_bound, r=1)
         count = space.cardinality
-        assert verify_theorem(space, budget=count).candidates_checked == count
+        monkeypatch.setattr(verify, "CANDIDATE_BUDGET_DEFAULT", count)
+        assert verify_theorem(space).candidates_checked == count
+        monkeypatch.setattr(verify, "CANDIDATE_BUDGET_DEFAULT", count - 1)
         with pytest.raises(BudgetExceededError, match=re.escape(
                 f"{count} candidates exceed the budget of {count - 1}")):
-            verify_theorem(space, budget=count - 1)
+            verify_theorem(space)
 
     def test_degree_at_the_budget_with_no_candidates(self):
         report = verify_theorem(SearchSpace(degree=DEGREE_MAX, coeff_bound=0, r=1))
@@ -115,9 +118,10 @@ class TestVerifyTheorem:
         assert report.candidates_checked == 0
         assert not report.discrepancies and not report.review_flags
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(verify, "CANDIDATE_BUDGET_DEFAULT", 10)
         with pytest.raises(BudgetExceededError):
-            verify_theorem(SearchSpace(degree=3, coeff_bound=5, r=1), budget=10)
+            verify_theorem(SearchSpace(degree=3, coeff_bound=5, r=1))
 
     def test_small_box_at_one(self):
         space = SearchSpace(degree=2, coeff_bound=3, r=1, prime_bound=100)
