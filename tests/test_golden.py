@@ -8,7 +8,8 @@ Thm1 check landed, the orbit and verdict digests before the inline
 orbit loop, the trap digests before the first hits became a view, and
 the explore and capped or excluded-prime box digests before the orbit
 outcome became a tuple, and the linear-grid digest before classify took
-one decision path; a change that moves one of them changes an
+one decision path, and the members digest before the member generator
+read Cor4 from Thm4's shapes; a change that moves one of them changes an
 answer, not only how fast it comes.
 
 To record them again after a deliberate change of output, run
@@ -33,12 +34,14 @@ from polyorbit import (
     decide_nilpotency,
     explore_LN_of_u,
     first_refuting_prime,
+    generate_list_members,
     lemma1_witnesses,
     parse_poly,
     primes_up_to,
     trap_first_hits,
     verify_theorem,
 )
+from polyorbit.classify import CATALOG_FAMILIES
 from polyorbit.cli import main
 from polyorbit.modular import LemmaPreconditionError
 
@@ -70,6 +73,7 @@ EXPLORE_LN_DIGEST = "f350be5d9e9625cce83d5e88936236dea0e246dac686fcaf7ae06b71bae
 EXCLUDED_BOX_DIGEST = "51be56643715a1dd2573e8f6e34d4b98861a0bdb9db6a2d7fe56a8aa20256e58"
 CAPPED_BOX_DIGEST = "9fbc6218a7dd897d4330ab2c68221044e1eb440c4101a44520eecd12e68d5135"
 LINEAR_GRID_DIGEST = "323246024b16b2def3d46212ef5e626fdf26fadd30bdf992762439b2214a3a63"
+MEMBERS_DIGEST = "c67e2d60e6f8c82ed5b72e41e12f6ff3af835a6ea42647eb90843b42520e8183"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -227,6 +231,35 @@ def linear_grid_digest() -> str:
     return _digest(rows)
 
 
+# The member grid: every catalog family and item except the Thm2 family and
+# Thm2.5, plus two unknown ids. A varies for Thm3 ids only, r for Thm4 and
+# Cor4 ids only; the other parameters vary for every id.
+_MEMBER_IDS = tuple(ident for family, items in CATALOG_FAMILIES.items()
+                    for ident in (family, *items)
+                    if ident not in ("Thm2", "Thm2.5")) + ("Thm9", "Thm4.9")
+_MEMBER_AS = (None, (), (2,), (3,), (2, 3), (2, 5, 7))
+_MEMBER_RS = (None, *range(-25, 26))
+
+
+def members_digest() -> str:
+    """generate_list_members over the member grid: exponent_sum 0-4 and
+    coeff_bound 0, 1, 3 and 5 for every id, each ValueError message
+    recorded as its row's result."""
+    rows = []
+    for ident in _MEMBER_IDS:
+        family = ident.partition(".")[0]
+        As = _MEMBER_AS if family == "Thm3" else (None,)
+        rs = _MEMBER_RS if family in ("Thm4", "Cor4") else (None,)
+        for exponent_sum, coeff_bound, A, r in product(range(5), (0, 1, 3, 5), As, rs):
+            try:
+                found = [list(u.coeffs) for u in generate_list_members(
+                    ident, A=A, r=r, exponent_sum=exponent_sum, coeff_bound=coeff_bound)]
+            except ValueError as exc:
+                found = str(exc)
+            rows.append([ident, exponent_sum, coeff_bound, A, r, found])
+    return _digest(rows)
+
+
 def trap_hits_digest() -> str:
     """Every (point, first hit) pair of trap_first_hits, in its iteration
     order, for every prime up to 101."""
@@ -272,6 +305,10 @@ def test_classify_linear_grid():
     assert linear_grid_digest() == LINEAR_GRID_DIGEST
 
 
+def test_generated_members():
+    assert members_digest() == MEMBERS_DIGEST
+
+
 def test_trap_first_hits_items():
     assert trap_hits_digest() == TRAP_HITS_DIGEST
 
@@ -303,6 +340,7 @@ if __name__ == "__main__":
     print(f"ORBIT_DIGEST = \"{orbit_digest()}\"")
     print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")
     print(f"LINEAR_GRID_DIGEST = \"{linear_grid_digest()}\"")
+    print(f"MEMBERS_DIGEST = \"{members_digest()}\"")
     print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
     print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")
     print(f"EXPLORE_LN_DIGEST = \"{explore_digest()}\"")
