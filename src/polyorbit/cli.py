@@ -22,8 +22,8 @@ import sys
 import time
 
 from .classify import classify
-from .modular import (PrimeSet, certify_local, check_prime_bound, is_prime,
-                      lemma1_witnesses, primes_up_to)
+from .modular import (PRIME_BOUND_DEFAULT, PrimeSet, certify_local,
+                      check_prime_bound, is_prime, lemma1_witnesses, primes_up_to)
 from .orbits import (
     MAX_BITS_DEFAULT,
     MAX_STEPS_DEFAULT,
@@ -31,7 +31,7 @@ from .orbits import (
     OrbitKind,
     decide_nilpotency,
 )
-from .polynomials import Polynomial, PolynomialSyntaxError, ReductionError, parse_poly
+from .polynomials import Polynomial, parse_poly
 # Unused here; trap_first_hits stays bound because perfbench/spans.py wraps
 # polyorbit.cli.trap_first_hits by name.
 from .trap import check_trap_budget, trap_first_hits, trap_fixed_points  # noqa: F401
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the JSON report schema and exit",
     )
     sub = parser.add_subparsers(dest="command")
-    prime_bound = _env_int("POLYORBIT_PRIME_BOUND", 300, 2)
+    prime_bound = _env_int("POLYORBIT_PRIME_BOUND", PRIME_BOUND_DEFAULT, 2)
     max_steps = _env_int("POLYORBIT_MAX_STEPS", MAX_STEPS_DEFAULT, 1)
     max_bits = _env_int("POLYORBIT_MAX_BITS", MAX_BITS_DEFAULT, 1)
 
@@ -315,7 +315,7 @@ REPORT_SCHEMA = {
     "properties": {
         "command": {"type": "string", "enum": list(_HANDLERS)},
         "inputs": {"type": "object"},
-        "result": {"type": ["object", "array", "boolean"]},
+        "result": {"type": "object"},
         "citations": {"type": "array", "items": {"type": "string"}},
         "timings": {
             "type": "object",
@@ -453,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         code, doc = run(args)
         text, shown = _render(doc, args)
-    except (UsageError, PolynomialSyntaxError, ReductionError, ValueError) as exc:
+    except ValueError as exc:  # UsageError and the parse and reduce errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

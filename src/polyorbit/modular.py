@@ -42,6 +42,7 @@ from .orbits import BudgetExceededError
 from .polynomials import Polynomial
 
 PRIME_BOUND_MAX = 10**7
+PRIME_BOUND_DEFAULT = 300  # the prime bound of a search that names none
 
 # For n < len(_spf): _spf[n] is the smallest prime factor of a composite n,
 # 0 for a prime n and 1 for n < 2. A composite n <= PRIME_BOUND_MAX has a

@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .classify import (
@@ -22,13 +23,12 @@ from .classify import (
     THM1_SHAPES,
     Verdict,
     classify,
-    mirror_item,
 )
 # Unused here; certify_local stays bound because perfbench/spans.py wraps
 # polyorbit.verify.certify_local by name.
-from .modular import (PrimeSet, _as_prime_set, _primes_divide,  # noqa: F401
-                      certify_local, check_prime_bound, factorize,
-                      first_refuting_prime)
+from .modular import (PRIME_BOUND_DEFAULT, PrimeSet, _as_prime_set,  # noqa: F401
+                      _primes_divide, certify_local, check_prime_bound,
+                      factorize, first_refuting_prime)
 from .orbits import (_CYCLE, _ESCAPED, _EXHAUSTED, _REACHED_ZERO,
                      BudgetExceededError, OrbitOutcome, check_caps,
                      decide_nilpotency)
@@ -52,7 +52,7 @@ class SearchSpace:
     coeff_bound: int
     r: int
     A: PrimeSet = field(default_factory=PrimeSet)
-    prime_bound: int = 300
+    prime_bound: int = PRIME_BOUND_DEFAULT
 
     def __post_init__(self):
         if self.degree < 1 or self.coeff_bound < 0:
@@ -345,25 +345,7 @@ def explore_LN_of_u(
 
 
 _MULTIPLIERS = (Polynomial(), Polynomial((1,)), Polynomial((0, 1)))
-
-
-def _supported_shifts(primes: list[int], cap: int, minimum: int = 0,
-                      require=None, per_cap: int | None = None) -> list[int]:
-    """Products q1^s1*...*qk^sk with minimum <= sum(s) <= cap (and each
-    s_i <= per_cap when given), ascending."""
-    step = cap if per_cap is None else min(cap, per_cap)
-    out = []
-    for vec in product(range(step + 1), repeat=len(primes)):
-        s = sum(vec)
-        if s < minimum or s > cap:
-            continue
-        if require is not None and not require(vec):
-            continue
-        value = 1
-        for q, e in zip(primes, vec):
-            value *= q**e
-        out.append(value)
-    return sorted(set(out))
+_X = _MULTIPLIERS[2]
 
 
 def generate_list_members(
@@ -372,16 +354,20 @@ def generate_list_members(
     A: "PrimeSet | None" = None,
     r: int | None = None,
     exponent_sum: int = 3,
-    exponent_cap: int | None = None,
     coeff_bound: int = 5,
 ) -> list[Polynomial]:
     """Enumerate catalog members within bounds for positive testing.
 
     theorem_id is a catalog item ("Thm4.3") or a family ("Thm4" expands to
-    every item). Thm3.* needs A; Thm4.* needs r >= 2 and Cor4.* needs
-    r <= -2. exponent_sum caps the total of the prime-power exponents
-    (exponent_cap additionally caps each one), the free p(x) choices are 0,
-    1 and x, and coeff_bound bounds free integer parameters.
+    every item, each member kept at its first occurrence). Thm3.* needs A;
+    Thm4.* needs r >= 2 and Cor4.* needs r <= -2. exponent_sum caps the
+    total of the prime-power exponents, and coeff_bound bounds free integer
+    parameters. The free p(x) choices are 0, 1 and x, the nonzero ones
+    where the item needs p != 0; Thm2.5's p(0) = -1 makes p = x*q - 1 for
+    q in {1, x} (p = -1 gives -x+a, which is Thm2.2). Each item is read as
+    classify's _label reads it: Cor4 is built from Thm4's four shapes with
+    the sign of r, not by mirroring Thm4, and Thm4.2's "some exponent above
+    r's" is b not dividing r, since b is built from r's primes.
     """
     family, _, item = theorem_id.partition(".")
     items = CATALOG_FAMILIES.get(family, ())
@@ -391,13 +377,18 @@ def generate_list_members(
         return list(dict.fromkeys(  # first occurrence of each member, in order
             u
             for ident in items
-            for u in generate_list_members(
-                ident, A=A, r=r, exponent_sum=exponent_sum,
-                exponent_cap=exponent_cap, coeff_bound=coeff_bound,
-            )
+            for u in generate_list_members(ident, A=A, r=r, exponent_sum=exponent_sum,
+                                           coeff_bound=coeff_bound)
         ))
     if theorem_id not in items:
         raise ValueError(f"unknown catalog item {theorem_id!r}")
+
+    def shifts(primes: list[int], minimum: int = 0) -> list[int]:
+        """Products q1^s1*...*qk^sk of primes with minimum <= sum(s) <=
+        exponent_sum, ascending."""
+        return sorted(prod(q**e for q, e in zip(primes, vec))
+                      for vec in product(range(exponent_sum + 1), repeat=len(primes))
+                      if minimum <= sum(vec) <= exponent_sum)
 
     nonzero = [k for k in range(-coeff_bound, coeff_bound + 1) if k]
 
@@ -421,69 +412,35 @@ def generate_list_members(
                 if abs(a) >= 2 and _primes_divide(a, b)
             ]
         if item == "4":
-            x = Polynomial((0, 1))
-            return [x * p for p in _MULTIPLIERS if not p.is_zero()]
-        if item == "5":
-            return [
-                linear(1, -a) * p
-                for a in nonzero
-                for p in _MULTIPLIERS
-                if p.constant == -1
-            ]
+            return [_X * p for p in _MULTIPLIERS[1:]]
+        return [linear(1, -a) * (_X * q - 1) for a in nonzero for q in _MULTIPLIERS[1:]]
 
     if family == "Thm3":
         if A is None and item in ("1", "3", "4"):
             raise ValueError(f"{theorem_id} needs the excluded prime set A")
         qs = list(_as_prime_set(A))
         if item == "1":
-            return [linear(1, s * b)
-                    for b in _supported_shifts(qs, exponent_sum, per_cap=exponent_cap)
-                    for s in (1, -1)]
+            return [linear(1, s * b) for b in shifts(qs) for s in (1, -1)]
         if item == "2":
             return [linear(a, -a) for a in nonzero]
         if item == "3":
-            return [linear(s * a, 1)
-                    for a in _supported_shifts(qs, exponent_sum, minimum=1,
-                                               per_cap=exponent_cap)
-                    for s in (1, -1)]
+            return [linear(s * a, 1) for a in shifts(qs, 1) for s in (1, -1)]
         if item == "4":
             return [linear(-2, -1)] if 2 in qs else []
-        if item == "5":
-            return [linear(-2, 4)]
+        return [linear(-2, 4)]
 
-    if family in ("Thm4", "Cor4"):
-        if r is None:
-            raise ValueError(f"{theorem_id} needs the start point r")
-        if family == "Cor4":
-            if r > -2:
-                raise ValueError("Cor4.* covers r <= -2")
-            return [
-                u.negate_conjugate()
-                for u in generate_list_members(
-                    mirror_item(theorem_id), r=-r, exponent_sum=exponent_sum,
-                    exponent_cap=exponent_cap, coeff_bound=coeff_bound,
-                )
-            ]
-        if r < 2:
-            raise ValueError("Thm4.* covers r >= 2")
-        r_fac = factorize(r)
-        qs = sorted(r_fac)
-        exps = [r_fac[q] for q in qs]
-        if item == "1":
-            return [linear(1, b)
-                    for b in _supported_shifts(qs, exponent_sum,
-                                               per_cap=exponent_cap)]
-        if item == "2":
-            shifts = _supported_shifts(
-                qs, exponent_sum, minimum=1,
-                require=lambda vec: any(s > a for s, a in zip(vec, exps)),
-                per_cap=exponent_cap,
-            )
-            return [linear(1, -b) for b in shifts]
-        if item == "3":
-            return [linear(s * a, r)
-                    for a in _supported_shifts(qs, exponent_sum, minimum=1,
-                                               per_cap=exponent_cap)
-                    for s in (1, -1)]
-        if item == "4":
-            return [linear(-2, -r)] if r % 2 == 0 else []
+    # Thm4 at r >= 2 and Cor4 at r <= -2: x + sign*b, x - sign*b, +-a*x + r
+    # and -2x - r, with b and a supported on the primes of r.
+    if r is None:
+        raise ValueError(f"{theorem_id} needs the start point r")
+    sign = 1 if family == "Thm4" else -1
+    if sign * r < 2:
+        raise ValueError("Thm4.* covers r >= 2" if sign == 1 else "Cor4.* covers r <= -2")
+    qs = sorted(factorize(r))
+    if item == "1":
+        return [linear(1, sign * b) for b in shifts(qs)]
+    if item == "2":
+        return [linear(1, -sign * b) for b in shifts(qs, 1) if r % b]
+    if item == "3":
+        return [linear(s * a, r) for a in shifts(qs, 1) for s in (1, -1)]
+    return [linear(-2, -r)] if r % 2 == 0 else []

@@ -190,6 +190,12 @@ class TestPlumbing:
         assert code == EXIT_OK
         assert json.loads(out)["title"] == "polyorbit report"
 
+    def test_schema_types_result_as_an_object(self, capsys):
+        _, doc = run_json(capsys, "orbit", "-u", "x+1", "-r", "1")
+        doc["result"] = [doc["result"]]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, REPORT_SCHEMA)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "classify", "-u", "x+1", "-r", "1",

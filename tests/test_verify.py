@@ -23,7 +23,7 @@ from polyorbit import (
     verify_theorem,
 )
 from polyorbit import verify
-from polyorbit.classify import CATALOG_FAMILIES
+from polyorbit.classify import CATALOG_FAMILIES, NILPOTENT, Verdict
 from polyorbit.polynomials import DEGREE_MAX
 
 
@@ -240,11 +240,24 @@ class TestGenerators:
             assert nilpotency_index(u, 1) == 2
 
     def test_slope_family_at_six(self):
-        members = generate_list_members("Thm4.3", r=6, exponent_sum=2, exponent_cap=1)
+        members = generate_list_members("Thm4.3", r=6, exponent_sum=2)
         assert members == [
             linear(2, 6), linear(-2, 6), linear(3, 6), linear(-3, 6),
-            linear(6, 6), linear(-6, 6),
+            linear(4, 6), linear(-4, 6), linear(6, 6), linear(-6, 6),
+            linear(9, 6), linear(-9, 6),
         ]
+        with pytest.raises(TypeError):  # no per-exponent cap
+            generate_list_members("Thm4.3", r=6, exponent_sum=2, exponent_cap=1)
+
+    def test_index_two_at_zero(self):
+        """Thm2.5 is (x-a)p(x) with p(0) = -1: p is x-1 or x^2-1 here."""
+        members = generate_list_members("Thm2.5", coeff_bound=2)
+        assert [str(u) for u in members] == [
+            "x^2+x-2", "x^3+2x^2-x-2", "x^2-1", "x^3+x^2-x-1",
+            "x^2-2x+1", "x^3-x^2-x+1", "x^2-3x+2", "x^3-2x^2-x+2",
+        ]
+        for u in members:
+            assert classify(u, 0) == Verdict(True, True, NILPOTENT, 2, "Thm2.5")
 
     def test_singleton_items(self):
         assert generate_list_members("Thm3.4", A=PrimeSet([2])) == [linear(-2, -1)]
@@ -334,14 +347,17 @@ def test_generated_members_classify_in_their_own_family():
               for m in range(2, 13) for family, r in (("Thm4", m), ("Cor4", -m))
               for i in range(1, 5)]
     checked = 0
+    yielding = set()
     for item, r, A, kwargs in cases:
         for u in generate_list_members(item, **kwargs):
+            yielding.add(item)
             v = classify(u, r, A)
             assert v.decidable and v.member, (item, str(u), v)
             family = item.partition(".")[0]
             assert v.citation.partition(".")[0] == family, (item, str(u), v)
             checked += 1
-    assert checked == 602
+    assert yielding == {item for item, *_ in cases}
+    assert checked == 618
 
 
 def test_negative_direction_on_refuted_candidates():
