@@ -9,8 +9,10 @@ orbit loop, the trap digests before the first hits became a view, and
 the explore and capped or excluded-prime box digests before the orbit
 outcome became a tuple, and the linear-grid digest before classify took
 one decision path, and the members digest before the member generator
-read Cor4 from Thm4's shapes; a change that moves one of them changes an
-answer, not only how fast it comes.
+read Cor4 from Thm4's shapes, and the large-prime trap digest before
+the first hits became strided slices and the fixed points a row solve;
+a change that moves one of them changes an answer, not only how fast it
+comes.
 
 To record them again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
@@ -39,6 +41,7 @@ from polyorbit import (
     parse_poly,
     primes_up_to,
     trap_first_hits,
+    trap_fixed_points,
     verify_theorem,
 )
 from polyorbit.classify import CATALOG_FAMILIES
@@ -69,6 +72,7 @@ ORBIT_DIGEST = "573685e6edd25b8befc884eef6e56735dcdd3fd163138fb464fd55cd628b52aa
 VERDICT_DIGEST = "ce424d607df6a30b765739a83e66535016e61456c08427cf1754582e660a9e4c"
 TRAP_HITS_DIGEST = "cab5e37c13de0d656cf2b1988506e81eedcabe9f4f52a0f9329837af30bce35c"
 TRAP_COMMAND_DIGEST = "4b8d3901b2eca48d97ea980ebdfabc5ea86d70003c8b477fd4832b3a6b895401"
+TRAP_LARGE_DIGEST = "de80aa36397b4884eccf70124f52bb48741619da692ecf44bab71fe0076292a1"
 EXPLORE_LN_DIGEST = "f350be5d9e9625cce83d5e88936236dea0e246dac686fcaf7ae06b71bae1aa8e"
 EXCLUDED_BOX_DIGEST = "51be56643715a1dd2573e8f6e34d4b98861a0bdb9db6a2d7fe56a8aa20256e58"
 CAPPED_BOX_DIGEST = "9fbc6218a7dd897d4330ab2c68221044e1eb440c4101a44520eecd12e68d5135"
@@ -266,6 +270,15 @@ def trap_hits_digest() -> str:
     return _digest([[p, list(trap_first_hits(p).items())] for p in primes_up_to(101)])
 
 
+def trap_large_digest() -> str:
+    """Every first hit, in iteration order, and every fixed point of the
+    trap map at four primes past the exhaustive walk's reach: 257 is the
+    first prime above one byte, 997 the largest prime under the cap."""
+    return _digest([[p, [n for _, n in trap_first_hits(p).items()],
+                     [(pt.x, pt.y) for pt in trap_fixed_points(p)]]
+                    for p in (211, 257, 499, 997)])
+
+
 def trap_command_digest() -> str:
     """The `trap --primes 101 --output json` document without its timings."""
     out = io.StringIO()
@@ -313,6 +326,10 @@ def test_trap_first_hits_items():
     assert trap_hits_digest() == TRAP_HITS_DIGEST
 
 
+def test_trap_first_hits_and_fixed_points_at_large_primes():
+    assert trap_large_digest() == TRAP_LARGE_DIGEST
+
+
 def test_trap_command_document():
     assert trap_command_digest() == TRAP_COMMAND_DIGEST
 
@@ -343,6 +360,7 @@ if __name__ == "__main__":
     print(f"MEMBERS_DIGEST = \"{members_digest()}\"")
     print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
     print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")
+    print(f"TRAP_LARGE_DIGEST = \"{trap_large_digest()}\"")
     print(f"EXPLORE_LN_DIGEST = \"{explore_digest()}\"")
     print(f"EXCLUDED_BOX_DIGEST = \"{excluded_box_digest()}\"")
     print(f"CAPPED_BOX_DIGEST = \"{capped_box_digest()}\"")
