@@ -17,17 +17,22 @@ is (0,0). Hence:
 
 So every first hit lies in [1, p], and the largest is p, at ratio t = 1:
 the trap command reports both from the lemma and builds no first hits.
-trap_first_hits lists them all, from the lemma, as one flat list of p^2
-small ints indexed by x*p + y, read through FirstHits, a read-only
-mapping from (x, y) to the hit at x*p + y that builds no point tuples.
-trap_fixed_points scans every point, testing the first coordinate
-x^2*y = x first and the second only where that holds, so its answer is
-checked against the lemma rather than taken from it. _step is the
-single-point formula that trap_step applies.
+trap_first_hits lists them all, from the lemma, as one 2-byte array of
+p^2 hits indexed by x*p + y, read through FirstHits, a read-only mapping
+from (x, y) to the hit at x*p + y that builds no point tuples. The hit
+of (x, y) depends only on the ratio, so each row x is a strided slice of
+one table of the p ratio values tiled p times. trap_fixed_points solves
+the fixed-point equations row by row: for fixed x the first coordinate,
+x^2*y = x, is linear in y, so every y solves it when x = 0 and only
+y = x/x^2 otherwise, and the second coordinate is tested on those
+candidates alone. Its answer comes from the equations, not from the
+lemma, so it checks the lemma's third point rather than restating it.
+_step is the single-point formula that trap_step applies.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import product
@@ -82,17 +87,23 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _first_hits(p: int) -> list[int]:
-    """The first hit of every point, listed in flat index order x*p + y,
-    by the ratio lemma: 1 when x or y is 0, else ((-1 - y/x) mod p) + 2.
+def _first_hits(p: int) -> array:
+    """The first hit of every point, in flat index order x*p + y, as a
+    2-byte array, by the ratio lemma: 1 when x or y is 0, else
+    ((-1 - y/x) mod p) + 2. TRAP_CAP_MAX keeps every hit below 2^16.
 
-    The p possible values are built once, as a table indexed by the ratio
-    t = y/x (t = 0 stands for y = 0, and row x = 0 reads t = 0 too), so the
-    p^2 entries share those p int objects."""
-    by_ratio = [1] + [(-1 - t) % p + 2 for t in range(1, p)]
-    return [by_ratio[y * inv % p]
-            for x in range(p) for inv in (pow(x, -1, p) if x else 0,)
-            for y in range(p)]
+    The p possible values form a table indexed by the ratio t = y/x
+    (t = 0 stands for y = 0). Tiled p times, the table reads
+    tiled[k] = by_ratio[k mod p] for every k < p^2, so row x >= 1, whose
+    entry y is by_ratio[y * inv mod p] with inv = 1/x, is the strided
+    slice tiled[0 : p*inv : inv]; row x = 0 is p ones."""
+    by_ratio = array("H", [1] + [(-1 - t) % p + 2 for t in range(1, p)])
+    tiled = by_ratio * p
+    hits = array("H", [1]) * p
+    for x in range(1, p):
+        inv = pow(x, -1, p)
+        hits += tiled[0:p * inv:inv]
+    return hits
 
 
 class _HitItems(ItemsView):
@@ -106,13 +117,14 @@ class FirstHits(Mapping[tuple[int, int], int]):
     """The first hits of every point of F_p^2 as a read-only mapping from
     (x, y) to hits[x*p + y], iterated in product(range(p), repeat=2)
     order like the dict of the same items, which it equals. Keys are pairs
-    of ints in [0, p); any other key is absent. items() runs over the list
-    itself; values() is Mapping's view, which looks up each key. The repr
-    shows p and the list, so equal answers have equal reprs."""
+    of ints in [0, p); any other key is absent. hits is a 2-byte array;
+    items() runs over it itself; values() is Mapping's view, which looks
+    up each key. The repr shows p and the hits as a list, so equal answers
+    have equal reprs."""
 
     __slots__ = ("p", "_hits")
 
-    def __init__(self, p: int, hits: list[int]):
+    def __init__(self, p: int, hits: array):
         self.p = p
         self._hits = hits
 
@@ -135,25 +147,27 @@ class FirstHits(Mapping[tuple[int, int], int]):
         return _HitItems(self)
 
     def __repr__(self) -> str:
-        return f"FirstHits({self.p}, {self._hits!r})"
+        return f"FirstHits({self.p}, {self._hits.tolist()!r})"
 
 
 def trap_first_hits(p: int) -> FirstHits:
     """For every start point (x, y), the first step n >= 1 at which the n-th
     iterate is (0,0), from the ratio lemma; every value lies in [1, p]. The
-    answer is a read-only Mapping[tuple[int, int], int] over one flat list
-    of p^2 ints (see FirstHits), equal to the dict of the same items. A
-    prime above TRAP_CAP_MAX is refused before anything is built."""
+    answer is a read-only Mapping[tuple[int, int], int] over one 2-byte
+    array of p^2 hits whose rows are strided slices of one ratio table
+    (see FirstHits and _first_hits), equal to the dict of the same items.
+    A prime above TRAP_CAP_MAX is refused before anything is built."""
     _check_prime(p)
     return FirstHits(p, _first_hits(p))
 
 
 def trap_fixed_points(p: int) -> list[TrapPoint]:
     """All fixed points of the map over F_p; expected exactly [(0,0)]. A
-    prime above TRAP_CAP_MAX is refused before the scan."""
+    prime above TRAP_CAP_MAX is refused before the solve."""
     _check_prime(p)
-    # A fixed point has x^2*y = x, so the second coordinate, x + x*y^2,
-    # is needed only where that holds.
+    # A fixed point has x^2*y = x: every y when x = 0, else y = x/x^2.
+    # The second coordinate, x + x*y^2, is tested on those candidates only.
     return [TrapPoint(x, y, p)
-            for x in range(p) for xx in (x * x % p,)
-            for y in range(p) if xx * y % p == x and (x + x * y * y) % p == y]
+            for x in range(p)
+            for y in (range(p) if x == 0 else (x * pow(x * x, -1, p) % p,))
+            if (x + x * y * y) % p == y]

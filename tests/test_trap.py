@@ -250,3 +250,27 @@ class TestFirstHitsView:
             tracemalloc.stop()
         assert len(hits) == 211 * 211
         assert held < 2**20, f"{held} bytes held"
+
+    def test_peak_at_the_largest_prime(self):
+        """At p = 997 the call holds the 2-byte hits and one tiled 2-byte
+        ratio table at its peak, about 3.8 MiB, where p^2 int references
+        alone would take 7.6 MiB."""
+        tracemalloc.start()
+        try:
+            hits = trap_first_hits(997)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 997 * 997
+        assert peak < 4.5 * 2**20, f"peak {peak} bytes"
+
+
+def test_trap_command_at_its_budget(capsys):
+    """The command sweeps every prime up to TRAP_CAP_MAX itself, and finds
+    (0,0) the only fixed point at each of the 168 primes."""
+    code = main(["trap", "--primes", str(TRAP_CAP_MAX), "--output", "json"])
+    rows = json.loads(capsys.readouterr().out)["result"]["primes"]
+    assert code == 0
+    assert len(rows) == 168
+    assert [row["p"] for row in rows] == primes_up_to(TRAP_CAP_MAX)
+    assert all(row["fixed_points"] == [[0, 0]] for row in rows)
