@@ -73,7 +73,8 @@ def trap_step(pt: TrapPoint) -> TrapPoint:
 
 
 def check_trap_budget(bound: int) -> None:
-    """Refuse a prime above TRAP_CAP_MAX: the checks answer p^2 points."""
+    """Refuse a prime above TRAP_CAP_MAX: trap_first_hits answers all p^2
+    points, each hit in two bytes."""
     if bound > TRAP_CAP_MAX:
         raise BudgetExceededError(
             f"trap bound {bound} exceeds the budget of {TRAP_CAP_MAX} "
@@ -96,7 +97,8 @@ def _first_hits(p: int) -> array:
     (t = 0 stands for y = 0). Tiled p times, the table reads
     tiled[k] = by_ratio[k mod p] for every k < p^2, so row x >= 1, whose
     entry y is by_ratio[y * inv mod p] with inv = 1/x, is the strided
-    slice tiled[0 : p*inv : inv]; row x = 0 is p ones."""
+    slice tiled[0 : p*inv : inv] (y * inv < p^2, as y and inv are below
+    p); row x = 0 is p ones."""
     by_ratio = array("H", [1] + [(-1 - t) % p + 2 for t in range(1, p)])
     tiled = by_ratio * p
     hits = array("H", [1]) * p
@@ -118,9 +120,9 @@ class FirstHits(Mapping[tuple[int, int], int]):
     (x, y) to hits[x*p + y], iterated in product(range(p), repeat=2)
     order like the dict of the same items, which it equals. Keys are pairs
     of ints in [0, p); any other key is absent. hits is a 2-byte array;
-    items() runs over it itself; values() is Mapping's view, which looks
-    up each key. The repr shows p and the hits as a list, so equal answers
-    have equal reprs."""
+    items() runs over the array itself; values() is Mapping's view, which
+    looks up each key. The repr shows p and the hits as a list, so equal
+    answers have equal reprs."""
 
     __slots__ = ("p", "_hits")
 
