@@ -10,9 +10,10 @@ the explore and capped or excluded-prime box digests before the orbit
 outcome became a tuple, and the linear-grid digest before classify took
 one decision path, and the members digest before the member generator
 read Cor4 from Thm4's shapes, and the large-prime trap digest before
-the first hits became strided slices and the fixed points a row solve;
-a change that moves one of them changes an answer, not only how fast it
-comes.
+the first hits became strided slices and the fixed points a row solve,
+and the coverage members digest before the member generator read the
+catalog as one table; a change that moves one of them changes an answer,
+not only how fast it comes.
 
 To record them again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
@@ -78,6 +79,7 @@ EXCLUDED_BOX_DIGEST = "51be56643715a1dd2573e8f6e34d4b98861a0bdb9db6a2d7fe56a8aa2
 CAPPED_BOX_DIGEST = "9fbc6218a7dd897d4330ab2c68221044e1eb440c4101a44520eecd12e68d5135"
 LINEAR_GRID_DIGEST = "323246024b16b2def3d46212ef5e626fdf26fadd30bdf992762439b2214a3a63"
 MEMBERS_DIGEST = "c67e2d60e6f8c82ed5b72e41e12f6ff3af835a6ea42647eb90843b42520e8183"
+COVERAGE_MEMBERS_DIGEST = "b62c7d21b149dccbb581d922ed623a6ba7144d7e759ce8281ddde82b0e227e9b"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -264,6 +266,36 @@ def members_digest() -> str:
     return _digest(rows)
 
 
+# The coverage grid: every catalog family and item, plus three unknown ids,
+# at each r its family covers (the special r or None, every r in -25..25 for
+# Thm4 and Cor4) and at an empty A (None or PrimeSet()), or the member
+# grid's A for Thm3.
+_COVERAGE_IDS = tuple(ident for family, items in CATALOG_FAMILIES.items()
+                      for ident in (family, *items)) + ("Thm9", "Thm4.9", "Rem4.1")
+_COVERAGE_RS = {"Thm1": (None, 1), "Thm2": (None, 0), "Thm3": (None, 1),
+                "Thm4": _MEMBER_RS, "Cor4": _MEMBER_RS}
+
+
+def coverage_members_digest() -> str:
+    """generate_list_members over the coverage grid: exponent_sum 0-4 and
+    coeff_bound 0, 1, 3 and 5 for every id, each ValueError message
+    recorded as its row's result."""
+    rows = []
+    for ident in _COVERAGE_IDS:
+        family = ident.partition(".")[0]
+        As = _MEMBER_AS if family == "Thm3" else (None, PrimeSet())
+        rs = _COVERAGE_RS.get(family, (None,))
+        for exponent_sum, coeff_bound, A, r in product(range(5), (0, 1, 3, 5), As, rs):
+            try:
+                found = [list(u.coeffs) for u in generate_list_members(
+                    ident, A=A, r=r, exponent_sum=exponent_sum, coeff_bound=coeff_bound)]
+            except ValueError as exc:
+                found = str(exc)
+            rows.append([ident, exponent_sum, coeff_bound,
+                         None if A is None else list(A), r, found])
+    return _digest(rows)
+
+
 def trap_hits_digest() -> str:
     """Every (point, first hit) pair of trap_first_hits, in its iteration
     order, for every prime up to 101."""
@@ -322,6 +354,10 @@ def test_generated_members():
     assert members_digest() == MEMBERS_DIGEST
 
 
+def test_generated_members_in_coverage():
+    assert coverage_members_digest() == COVERAGE_MEMBERS_DIGEST
+
+
 def test_trap_first_hits_items():
     assert trap_hits_digest() == TRAP_HITS_DIGEST
 
@@ -358,6 +394,7 @@ if __name__ == "__main__":
     print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")
     print(f"LINEAR_GRID_DIGEST = \"{linear_grid_digest()}\"")
     print(f"MEMBERS_DIGEST = \"{members_digest()}\"")
+    print(f"COVERAGE_MEMBERS_DIGEST = \"{coverage_members_digest()}\"")
     print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
     print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")
     print(f"TRAP_LARGE_DIGEST = \"{trap_large_digest()}\"")
