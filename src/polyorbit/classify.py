@@ -16,19 +16,9 @@ classify takes one path for every (r, A) it covers, in three steps:
 2. Membership. A nilpotent map is a member. Any other linear map is a
    member exactly when the linear rule modular._linear_member holds outside
    A; any other map is not one (by the catalog lists, or by Fact1).
-3. The label. _label names the catalog item of the outcome:
-
-* Thm1.1-4   all of L at r=1, A=empty (any degree).
-* Rem4.1-4   the r=-1 mirror of Thm1 under negate-conjugation.
-* Thm2.1-5   all of L at r=0, A=empty (any degree).
-* Thm3.1-5   all linear members of L at r=1 for an arbitrary finite A.
-* Thm4.1-4   linear strictly-local members at r >= 2, A=empty.
-* Rem3       linear members at |r| >= 2 outside the four Thm4/Cor4 shapes,
-             by the linear rule (see _label).
-* Cor4.1-4   the r <= -2 mirror of Thm4 under negate-conjugation.
-* Fact1      degree >= 2 and non-nilpotent at r implies non-membership.
-* Def.N      nilpotent at r (orbit reaches 0), hence trivially a member.
-* Def.L      degree-0 inputs: membership requires degree >= 1.
+3. The label. _label names the catalog item of the outcome. CATALOG lists
+   every family, item and label it cites, with the (r, A) each family
+   covers.
 
 Everything else honestly returns decidable=False; certify_local can still
 hunt for a refuting prime, and a refutation is a proof of non-membership.
@@ -38,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Callable, NamedTuple
 
-from .modular import PrimeSet, _as_prime_set, _linear_member
+from .modular import PrimeSet, _as_prime_set, _linear_member, _primes_divide
 from .orbits import _EXHAUSTED, OrbitOutcome, check_caps, decide_nilpotency
 from .polynomials import Polynomial, linear
 
@@ -115,9 +106,107 @@ THM1_SHAPES = (
      _X_MINUS_1 * linear(1, -2) * linear(1, -3)),
 )
 
-# Negate-conjugation u(x) -> -u(-x) maps the orbit of u at r onto the
-# negated orbit at -r, so each of these families has a mirror family.
-_MIRROR_FAMILIES = {"Thm1": "Rem4", "Thm4": "Cor4", "Cor4": "Thm4"}
+
+class CatalogItem(NamedTuple):
+    """A catalog item: its statement and its member builder (None for an item
+    that only labels verdicts), which generate_list_members calls with the
+    keywords r, qs, sign, shifts and nonzero; reads_A marks one needing A."""
+
+    statement: str
+    build: Callable[..., list[Polynomial]] | None = None
+    reads_A: bool = False
+
+
+class CatalogRow(NamedTuple):
+    """A catalog family, whose k-th item is cited as ident.k, or a label,
+    which has no items. text is the (r, A) a family covers in words, or a
+    label's statement. As data a family covers its one r (None for Thm4 and
+    Cor4, at r >= 2 and r <= -2), and any finite A if excluded, else only an
+    empty A. Negate-conjugation carries its citations to mirror's."""
+
+    ident: str
+    text: str
+    r: int | None = None
+    excluded: bool = False
+    items: tuple[CatalogItem, ...] = ()
+    mirror: str | None = None
+
+
+# The free p(x) choices are 0, 1 and x, the nonzero ones where the item
+# needs p != 0; Thm2.5's p(0) = -1 makes p = x*q - 1 for q in {1, x}
+# (p = -1 gives -x+a, which is Thm2.2).
+_MULTIPLIERS = (Polynomial(), Polynomial((1,)), Polynomial((0, 1)))
+_X = _MULTIPLIERS[2]
+
+# Thm4 at r >= 2 and Cor4 at r <= -2 share four shapes, read directly at
+# either sign: the linear rule and each shape are unchanged when u and r
+# are both mirrored. Thm4.2's "some exponent above r's" is b not dividing
+# r, since b is built from r's primes.
+_SIGNED_SHAPES = (
+    CatalogItem("x + sign(r)*b, b supported on the primes of r",
+                lambda qs, sign, shifts, **_: [linear(1, sign * b) for b in shifts(qs)]),
+    CatalogItem("x - sign(r)*b, b supported on r's primes with some exponent above r's",
+                lambda r, qs, sign, shifts, **_: [linear(1, -sign * b)
+                                                  for b in shifts(qs, 1) if r % b]),
+    CatalogItem("ax + r, |a| >= 2 supported on the primes of r",
+                lambda r, qs, shifts, **_: [linear(s * a, r) for a in shifts(qs, 1)
+                                            for s in (1, -1)]),
+    CatalogItem("-2x - r, r even", lambda r, **_: [linear(-2, -r)] if r % 2 == 0 else []),
+)
+
+CATALOG = {row.ident: row for row in (
+    CatalogRow("Thm1", "all members at r=1, A={}, any degree", 1, mirror="Rem4", items=(
+        *map(CatalogItem, ("(x-1)p(x), p != 0, nilpotent of index 1",
+                           "-2x+4 + p(x)(x-1)(x-2), index 2",
+                           "-2x^2+7x-3 + p(x)(x-1)(x-2)(x-3), index 3"),
+             (lambda base=base, modulus=modulus, **_: [
+                 u for u in (base + p * modulus for p in _MULTIPLIERS) if not u.is_zero()]
+              for _, _, base, modulus in THM1_SHAPES)),
+        CatalogItem("x+1, strictly local", lambda **_: [linear(1, 1)]))),
+    CatalogRow("Rem4", "the r=-1 mirror of Thm1 (negate-conjugation), A={}", -1, items=tuple(
+        CatalogItem(f"-u(-x) for u in Thm1.{k}") for k in range(1, 5))),
+    CatalogRow("Thm2", "all members at r=0, A={}, any degree", 0, items=(
+        CatalogItem("ax", lambda nonzero, **_: [linear(a, 0) for a in nonzero]),
+        CatalogItem("x+b and -x+b, b != 0",
+                    lambda nonzero, **_: [linear(s, b) for s in (1, -1) for b in nonzero]),
+        CatalogItem("ax+b with nonempty prime support of a contained in that of b",
+                    lambda nonzero, **_: [linear(a, b) for a in nonzero for b in nonzero
+                                          if abs(a) >= 2 and _primes_divide(a, b)]),
+        CatalogItem("x*p(x), nilpotent of index 1",
+                    lambda **_: [_X * p for p in _MULTIPLIERS[1:]]),
+        CatalogItem("(x-a)p(x) with a != 0 and p(0) = -1, nilpotent of index 2",
+                    lambda nonzero, **_: [linear(1, -a) * (_X * q - 1)
+                                          for a in nonzero for q in _MULTIPLIERS[1:]]))),
+    CatalogRow("Thm3", "all linear members at r=1, arbitrary finite A", 1, True, (
+        CatalogItem("x+b with the prime support of b inside A (index 1 exactly for b=-1)",
+                    lambda qs, shifts, **_: [linear(1, s * b) for b in shifts(qs)
+                                             for s in (1, -1)], True),
+        CatalogItem("a(x-1), nilpotent of index 1",
+                    lambda nonzero, **_: [linear(a, -a) for a in nonzero]),
+        CatalogItem("ax+1 with |a| >= 2 and support(a) inside A",
+                    lambda qs, shifts, **_: [linear(s * a, 1) for a in shifts(qs, 1)
+                                             for s in (1, -1)], True),
+        CatalogItem("-2x-1, a member precisely when 2 is in A",
+                    lambda qs, **_: [linear(-2, -1)] if 2 in qs else [], True),
+        CatalogItem("-2x+4, nilpotent of index 2", lambda **_: [linear(-2, 4)]))),
+    CatalogRow("Thm4", "linear strictly-local members at r >= 2, A={}",
+               items=_SIGNED_SHAPES, mirror="Cor4"),
+    CatalogRow("Cor4", "the r <= -2 mirror of Thm4 (negate-conjugation), A={}",
+               items=_SIGNED_SHAPES, mirror="Thm4"),
+    CatalogRow("Rem3", "strictly-local linear members at r >= 2 or r <= -2 outside "
+                       "the four Thm4/Cor4 shapes"),
+    CatalogRow("Fact1", "degree >= 2 and non-nilpotent at r implies non-membership"),
+    CatalogRow("Def.N", "the orbit reaches 0, hence membership is trivial"),
+    CatalogRow("Def.L", "degree-0 inputs (membership sets require degree >= 1)"),
+)}
+
+# The item ids of each family that generate_list_members can enumerate.
+CATALOG_FAMILIES = {row.ident: tuple(f"{row.ident}.{k}" for k in range(1, len(row.items) + 1))
+                    for row in CATALOG.values() if row.items and row.items[0].build}
+
+# The family covering each special r at empty A; elsewhere Thm4 or Cor4.
+_SPECIAL_FAMILIES = {row.r: row.ident for row in CATALOG.values()
+                     if row.r is not None and not row.excluded}
 
 
 def mirror_item(citation: str) -> str:
@@ -125,20 +214,8 @@ def mirror_item(citation: str) -> str:
     mirrors to Rem4.k at r=-1, and Thm4.k at r and Cor4.k at -r mirror
     each other. Any other id is left as it is."""
     family, dot, item = citation.partition(".")
-    return _MIRROR_FAMILIES.get(family, family) + dot + item
-
-
-# The item ids of each family that generate_list_members can enumerate.
-CATALOG_FAMILIES = {
-    family: tuple(f"{family}.{i}" for i in range(1, size + 1))
-    for family, size in
-    (("Thm1", 4), ("Thm2", 5), ("Thm3", 5), ("Thm4", 4), ("Cor4", 4))
-}
-
-
-# The family whose catalog covers each special r with empty A; at every
-# other r with empty A it is Thm4 (r >= 2) or Cor4 (r <= -2).
-_SPECIAL_FAMILIES = {1: "Thm1", -1: "Rem4", 0: "Thm2"}
+    row = CATALOG.get(family)
+    return (row and row.mirror or family) + dot + item
 
 
 def classify(u: Polynomial, r: int, A: "PrimeSet | None" = None, **caps) -> Verdict:
@@ -228,43 +305,17 @@ _THM21_NOTE = ("also matches Thm2.1 (annotated strictly-local); "
 _THM22_NOTE = ("catalog annotates +-x+b strictly-local; the orbit at 0 "
                "returns to 0 at step 2")
 
-# The catalog items that _label assigns, family by family.
+# Thm3.1, 3.3 and 3.4 label the members of the linear rule
+# (modular._linear_member): its m = 0 forces a = 1, m = 1 forces b = 1,
+# m = 2 forces -2x-1, and m >= 3 has no solution at r=1.
 #
-# Thm1 (r=1, A empty, any degree): (1) (x-1)p(x), p != 0, nilpotent index
-#   1; (2) -2x+4 + p(x)(x-1)(x-2), index 2; (3) -2x^2+7x-3 +
-#   p(x)(x-1)(x-2)(x-3), index 3; (4) x+1, strictly local. Rem4 is its
-#   mirror at r=-1.
-# Thm2 (r=0, A empty, any degree): (1) ax; (2) x+b and -x+b, b != 0;
-#   (3) ax+b with nonempty prime support of a contained in that of b;
-#   (4) x*p(x), nilpotent index 1; (5) (x-a)p(x) with a != 0 and p(0) = -1,
-#   nilpotent index 2. Two annotations disagree with the orbit itself and
-#   the verdict follows the orbit, with a note: every multiple of x (item 1
-#   included) reaches 0 at the first step, and -x+b reaches 0 at the second.
-# Thm3 (linear u at r=1 outside a nonempty finite prime set A): (1) x+b
-#   with the prime support of b inside A (nilpotent index 1 exactly for
-#   b=-1); (2) a(x-1), index 1; (3) ax+1 with |a| >= 2 and support(a)
-#   inside A; (4) -2x-1, a member precisely when 2 is in A; (5) -2x+4,
-#   index 2. Everything else is strictly local. Items (1), (3) and (4) label
-#   the members of the linear rule (modular._linear_member): its m = 0
-#   forces a = 1, m = 1 forces b = 1, m = 2 forces -2x-1, and m >= 3 has no
-#   solution at r=1.
-# Thm4 (linear strictly-local members at r >= 2, A empty), for r with
-#   factorization q1^a1...qk^ak: (1) x+b, b > 0 supported on the primes of
-#   r; (2) x-b, b > 0 supported on the primes of r with some exponent
-#   exceeding r's; (3) ax+r with |a| >= 2 supported on the primes of r;
-#   (4) -2x-r, r even.
-# Cor4 (r <= -2) is the negate-conjugate of Thm4, read directly: the rule
-#   and each shape are unchanged when u and r are both mirrored, so .1 is
-#   x+b with b of the sign of r, .2 the other sign, .3 is b = r and .4 is
-#   (a, b) = (-2, -r).
-# Rem3: for |a| >= 2 the linear rule is the power condition
-#   r*(a-1) = b*(a^m - 1) for some m >= 1, with support(a) inside
-#   support(b) (then every iterate is b*(a^(n+m)-1)/(a-1), so every prime
-#   has a hitting time by the multiplicative order argument, while no exact
-#   zero can occur). Members outside the four Thm4/Cor4 shapes (possible
-#   once r has a proper divisor with mixed exponent structure, e.g. 2x+2 at
-#   r=6) are cited as Rem3. Exhaustive certificate sweeps back this
-#   completion.
+# Rem3: for |a| >= 2 the linear rule is the power condition r*(a-1) =
+#   b*(a^m - 1) for some m >= 1, with support(a) inside support(b): then
+#   every iterate is b*(a^(n+m)-1)/(a-1), so every prime has a hitting time
+#   by the multiplicative order argument, while no exact zero can occur.
+#   Members outside the four Thm4/Cor4 shapes (possible once r has a proper
+#   divisor with mixed exponent structure, e.g. 2x+2 at r=6) are cited as
+#   Rem3. Exhaustive certificate sweeps back this completion.
 
 
 def _label(family: str, coeffs: tuple[int, ...], r: int, index: int | None,

@@ -17,22 +17,15 @@ from itertools import product
 from math import prod
 from typing import Iterator
 
-from .classify import (
-    CATALOG_FAMILIES,
-    NILPOTENT,
-    THM1_SHAPES,
-    Verdict,
-    classify,
-)
+from .classify import CATALOG, CATALOG_FAMILIES, NILPOTENT, Verdict, classify
 # Unused here; certify_local stays bound because perfbench/spans.py wraps
 # polyorbit.verify.certify_local by name.
 from .modular import (PRIME_BOUND_DEFAULT, PrimeSet, _as_prime_set,  # noqa: F401
-                      _primes_divide, certify_local, check_prime_bound,
-                      factorize, first_refuting_prime)
+                      certify_local, check_prime_bound, factorize, first_refuting_prime)
 from .orbits import (_CYCLE, _ESCAPED, _EXHAUSTED, _REACHED_ZERO,
                      BudgetExceededError, OrbitOutcome, check_caps,
                      decide_nilpotency)
-from .polynomials import DEGREE_MAX, Polynomial, linear
+from .polynomials import DEGREE_MAX, Polynomial
 
 CANDIDATE_BUDGET_DEFAULT = 10**7
 EXACT_COUNT_BITS = 2**16  # the largest box count an over-budget message computes
@@ -344,10 +337,6 @@ def explore_LN_of_u(
     return entries
 
 
-_MULTIPLIERS = (Polynomial(), Polynomial((1,)), Polynomial((0, 1)))
-_X = _MULTIPLIERS[2]
-
-
 def generate_list_members(
     theorem_id: str,
     *,
@@ -358,16 +347,13 @@ def generate_list_members(
 ) -> list[Polynomial]:
     """Enumerate catalog members within bounds for positive testing.
 
-    theorem_id is a catalog item ("Thm4.3") or a family ("Thm4" expands to
-    every item, each member kept at its first occurrence). Thm3.* needs A;
-    Thm4.* needs r >= 2 and Cor4.* needs r <= -2. exponent_sum caps the
-    total of the prime-power exponents, and coeff_bound bounds free integer
-    parameters. The free p(x) choices are 0, 1 and x, the nonzero ones
-    where the item needs p != 0; Thm2.5's p(0) = -1 makes p = x*q - 1 for
-    q in {1, x} (p = -1 gives -x+a, which is Thm2.2). Each item is read as
-    classify's _label reads it: Cor4 is built from Thm4's four shapes with
-    the sign of r, not by mirroring Thm4, and Thm4.2's "some exponent above
-    r's" is b not dividing r, since b is built from r's primes.
+    theorem_id is a catalog item ("Thm4.3"), built by its builder in
+    classify.CATALOG, or a family ("Thm4" expands to every item, each member
+    kept at its first occurrence). Thm3.1, 3.3 and 3.4 need A; Thm4.* needs
+    r >= 2 and Cor4.* r <= -2; an r or a nonempty A outside the family's
+    coverage is refused. exponent_sum caps the total of the prime-power
+    exponents, and coeff_bound bounds free integer parameters; an item
+    without such a parameter reads neither.
     """
     family, _, item = theorem_id.partition(".")
     items = CATALOG_FAMILIES.get(family, ())
@@ -382,6 +368,20 @@ def generate_list_members(
         ))
     if theorem_id not in items:
         raise ValueError(f"unknown catalog item {theorem_id!r}")
+    row = CATALOG[family]
+    entry = row.items[items.index(theorem_id)]
+    if A is None and entry.reads_A:
+        raise ValueError(f"{theorem_id} needs the excluded prime set A")
+    qs = list(_as_prime_set(A)) if row.excluded else []
+    sign = -1 if family == "Cor4" else 1
+    if row.r is None:  # Thm4 and Cor4
+        if r is None:
+            raise ValueError(f"{theorem_id} needs the start point r")
+        if sign * r < 2:
+            raise ValueError("Thm4.* covers r >= 2" if sign == 1 else "Cor4.* covers r <= -2")
+        qs = sorted(factorize(r))
+    if (r is not None and row.r not in (None, r)) or (A and not row.excluded):
+        raise ValueError(f"{family}.* covers {row.text}; got r={r}, A={list(A or ())}")
 
     def shifts(primes: list[int], minimum: int = 0) -> list[int]:
         """Products q1^s1*...*qk^sk of primes with minimum <= sum(s) <=
@@ -391,56 +391,4 @@ def generate_list_members(
                       if minimum <= sum(vec) <= exponent_sum)
 
     nonzero = [k for k in range(-coeff_bound, coeff_bound + 1) if k]
-
-    if family == "Thm1":
-        for ident, _, base, modulus in THM1_SHAPES:
-            if ident == theorem_id:
-                shapes = (base + p * modulus for p in _MULTIPLIERS)
-                return [u for u in shapes if not u.is_zero()]
-        return [linear(1, 1)]
-
-    if family == "Thm2":
-        if item == "1":
-            return [linear(a, 0) for a in nonzero]
-        if item == "2":
-            return [linear(s, b) for s in (1, -1) for b in nonzero]
-        if item == "3":
-            return [
-                linear(a, b)
-                for a in nonzero
-                for b in nonzero
-                if abs(a) >= 2 and _primes_divide(a, b)
-            ]
-        if item == "4":
-            return [_X * p for p in _MULTIPLIERS[1:]]
-        return [linear(1, -a) * (_X * q - 1) for a in nonzero for q in _MULTIPLIERS[1:]]
-
-    if family == "Thm3":
-        if A is None and item in ("1", "3", "4"):
-            raise ValueError(f"{theorem_id} needs the excluded prime set A")
-        qs = list(_as_prime_set(A))
-        if item == "1":
-            return [linear(1, s * b) for b in shifts(qs) for s in (1, -1)]
-        if item == "2":
-            return [linear(a, -a) for a in nonzero]
-        if item == "3":
-            return [linear(s * a, 1) for a in shifts(qs, 1) for s in (1, -1)]
-        if item == "4":
-            return [linear(-2, -1)] if 2 in qs else []
-        return [linear(-2, 4)]
-
-    # Thm4 at r >= 2 and Cor4 at r <= -2: x + sign*b, x - sign*b, +-a*x + r
-    # and -2x - r, with b and a supported on the primes of r.
-    if r is None:
-        raise ValueError(f"{theorem_id} needs the start point r")
-    sign = 1 if family == "Thm4" else -1
-    if sign * r < 2:
-        raise ValueError("Thm4.* covers r >= 2" if sign == 1 else "Cor4.* covers r <= -2")
-    qs = sorted(factorize(r))
-    if item == "1":
-        return [linear(1, sign * b) for b in shifts(qs)]
-    if item == "2":
-        return [linear(1, -sign * b) for b in shifts(qs, 1) if r % b]
-    if item == "3":
-        return [linear(s * a, r) for a in shifts(qs, 1) for s in (1, -1)]
-    return [linear(-2, -r)] if r % 2 == 0 else []
+    return entry.build(r=r, qs=qs, sign=sign, shifts=shifts, nonzero=nonzero)

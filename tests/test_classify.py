@@ -6,7 +6,9 @@ import importlib
 import inspect
 import pickle
 import random
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from polyorbit import (
     parse_poly,
 )
 from polyorbit.classify import THM1_SHAPES, Verdict, mirror_item
+from polyorbit.classify import CATALOG
 from polyorbit.modular import _linear_member
 
 
@@ -586,3 +589,40 @@ class TestThm2ByTheOrbitAtZero:
         v = classify(parse_poly("x^10000+1" + "0" * 4000), r)
         expect(v, False, citation=citation)
         assert v.result == "NotInL"
+
+
+class TestOneCatalogTable:
+    """The README citation table and classify's citations read the rows of
+    classify.CATALOG."""
+
+    def test_readme_table_lists_the_rows(self):
+        """One `Fam.1-n` line per family with its item count and one line per
+        label, in the table's order, with the row's words (code spans aside)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme[readme.index("| citation "):]
+        table = table[:table.index("\n\n")]
+        listed = [(citation, words.replace("`", "")) for citation, words in
+                  re.findall(r"^\| `([^`]+)` *\| (.*?) *\|$", table, re.M)]
+        assert listed == [
+            (f"{row.ident}.1-{len(row.items)}" if row.items else row.ident, row.text)
+            for row in CATALOG.values()]
+
+    def test_every_citation_is_a_row(self):
+        """Over the VERDICT_DIGEST grid every decided verdict cites an item,
+        a family or a label of the table, every undecided one nothing, and
+        each family and label is cited."""
+        cited = {row.ident for row in CATALOG.values()}
+        cited |= {f"{row.ident}.{k}" for row in CATALOG.values()
+                  for k in range(1, len(row.items) + 1)}
+        maps = [Polynomial(c) for c in product(range(-2, 3), repeat=4) if any(c)]
+        grid_caps = ({},) + tuple({"max_steps": s, "max_bits": b}
+                                  for s in (1, 3) for b in (1, 4))
+        seen = set()
+        for A in ((), (2,), (3,)):
+            for caps in grid_caps:
+                for u in maps:
+                    for r in range(-6, 7):
+                        v = classify(u, r, A, **caps)
+                        seen.add(v.citation)
+                        assert (v.citation in cited) is v.decidable, (u, r, A, caps, v)
+        assert {row.ident for row in CATALOG.values()} <= seen

@@ -197,8 +197,8 @@ def test_nilpotence_reads_no_point_keyed_dict(p, monkeypatch, capsys):
 
 
 class TestFirstHitsView:
-    """trap_first_hits answers with a read-only mapping over the flat hit
-    list that reads like the dict of the same items."""
+    """trap_first_hits answers with a read-only mapping over its 2-byte hit
+    array that reads like the dict of the same items."""
 
     @pytest.mark.parametrize("p", [2, 3, 7, 31])
     def test_reads_like_the_plain_walk_dict(self, p):
@@ -241,7 +241,7 @@ class TestFirstHitsView:
             del hits[(1, 1)]
         assert hits[(1, 1)] == _walk_first_hits(5)[(1, 1)]
 
-    def test_holds_one_flat_list(self):
+    def test_holds_one_two_byte_array(self):
         tracemalloc.start()
         try:
             hits = trap_first_hits(211)

@@ -24,6 +24,7 @@ from polyorbit import (
 )
 from polyorbit import verify
 from polyorbit.classify import CATALOG_FAMILIES, NILPOTENT, Verdict
+from polyorbit.classify import CATALOG
 from polyorbit.polynomials import DEGREE_MAX
 
 
@@ -311,6 +312,29 @@ class TestGenerators:
             generate_list_members("Thm4.1")
         with pytest.raises(ValueError):
             generate_list_members("Cor4.1", r=6)
+
+    def test_refuses_an_r_or_A_outside_its_family(self):
+        """An r or a nonempty A that the family does not cover is refused
+        with the family's coverage; the spellings that the tests and the
+        benchmark use still answer."""
+        for ident, params in [
+            ("Thm4", {"r": 6, "A": PrimeSet([2])}),
+            ("Cor4.1", {"r": -6, "A": [3]}),
+            ("Thm3.1", {"A": [2], "r": 5}),
+            ("Thm2.1", {"r": 1}),
+            ("Thm1.4", {"A": [3]}),
+        ]:
+            family = ident.partition(".")[0]
+            with pytest.raises(ValueError) as refused:
+                generate_list_members(ident, **params)
+            assert str(refused.value).startswith(
+                f"{family}.* covers {CATALOG[family].text}; got r="), ident
+        assert generate_list_members("Thm4", r=6, A=PrimeSet()) == \
+            generate_list_members("Thm4", r=6) != []
+        assert generate_list_members("Thm3", A=[2], r=1) == \
+            generate_list_members("Thm3", A=[2]) != []
+        assert generate_list_members("Thm1.1", r=1) == generate_list_members("Thm1.1") != []
+        assert generate_list_members("Thm2.1", r=0) == generate_list_members("Thm2.1") != []
 
     def test_positive_direction_small(self):
         """Every generated member certifies cleanly at a modest bound."""
