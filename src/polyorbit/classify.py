@@ -108,9 +108,9 @@ THM1_SHAPES = (
 
 
 class CatalogItem(NamedTuple):
-    """A catalog item: its statement and its member builder (None for an item
-    that only labels verdicts), which generate_list_members calls with the
-    keywords r, qs, sign, shifts and nonzero; reads_A marks one needing A."""
+    """A catalog item: its statement and member builder (None for a label-only
+    item), called by generate_list_members with r, qs (the primes of A, or of
+    r), sign (of r), shifts and nonzero; reads_A marks a builder needing A."""
 
     statement: str
     build: Callable[..., list[Polynomial]] | None = None
