@@ -12,7 +12,9 @@ one decision path, and the members digest before the member generator
 read Cor4 from Thm4's shapes, and the large-prime trap digest before
 the first hits became strided slices and the fixed points a row solve,
 and the coverage members digest before the member generator read the
-catalog as one table; a change that moves one of them changes an answer,
+catalog as one table, and the lemma1 edge digest before the witness
+search stopped computing each multiplicative order in full; a change that
+moves one of them changes an answer,
 not only how fast it comes.
 
 To record them again after a deliberate change of output, run
@@ -68,6 +70,7 @@ BOX_DIGESTS = {
 }
 CERTIFY_DIGEST = "ac17c7053631cfaa68b39d66eb0d7c8ace33a8fac0e14a1e43fcef956a10911d"
 LEMMA1_DIGEST = "c1a208a9342cb1ba4bbe8ab988703b9b34aba30bf9f40ebe7856f6523a7e4d04"
+LEMMA1_EDGE_DIGEST = "730da04a65586e764ca30c567ca248bb0b82062e9eacd7f059a51fc95beeff34"
 REFUTING_DIGEST = "9d621cc2b3caf398d7a2d551c2ce8db8273a7c544c39fc25bea5acee5f51d8bd"
 ORBIT_DIGEST = "573685e6edd25b8befc884eef6e56735dcdd3fd163138fb464fd55cd628b52aa"
 VERDICT_DIGEST = "ce424d607df6a30b765739a83e66535016e61456c08427cf1754582e660a9e4c"
@@ -153,6 +156,34 @@ def lemma1_digest() -> str:
         beta = rng.choice([k for k in range(-15, 16) if k])
         gamma = rng.choice([k for k in range(-15, 16) if k])
         bound = rng.choice((2, 100, 1000, 3000))
+        try:
+            found = lemma1_witnesses(alpha, beta, gamma, bound)
+        except LemmaPreconditionError:
+            found = "refused"
+        rows.append([alpha, beta, gamma, bound, found])
+    return _digest(rows)
+
+
+def lemma1_edge_digest() -> str:
+    """lemma1_witnesses where LEMMA1_DIGEST does not reach: alpha = +-1,
+    alpha with 4|alpha| above the bound (on both sides of it at 3000), and
+    seeded triples at bounds 10^4 and 10^5, where each residue class mod
+    4|alpha| recurs many times; a refused triple is recorded as refused."""
+    cases = [(alpha, beta, gamma, 1000) for alpha in (1, -1)
+             for beta, gamma in product((-6, -2, -1, 1, 2, 3, 5), repeat=2)]
+    cases += [(alpha, beta, gamma, bound)
+              for alpha in (10**9 + 7, -2**40, 750, -750, 751, -751)
+              for beta, gamma in ((3, 5), (-1, 2), (7, -11))
+              for bound in (2, 100, 3000)]
+    rng = random.Random(20261028)
+    for bound, count in ((10**4, 30), (10**5, 6)):
+        for _ in range(count):
+            alpha = rng.choice((2, 3, 4, 5, 6, 7, 9, 10, 12, 30, -2, -3, -6, -7, -30))
+            beta = rng.choice([k for k in range(-30, 31) if k])
+            gamma = rng.choice([k for k in range(-30, 31) if k])
+            cases.append((alpha, beta, gamma, bound))
+    rows = []
+    for alpha, beta, gamma, bound in cases:
         try:
             found = lemma1_witnesses(alpha, beta, gamma, bound)
         except LemmaPreconditionError:
@@ -334,6 +365,10 @@ def test_lemma1_witnesses():
     assert lemma1_digest() == LEMMA1_DIGEST
 
 
+def test_lemma1_witnesses_at_the_edges():
+    assert lemma1_edge_digest() == LEMMA1_EDGE_DIGEST
+
+
 def test_first_refuting_prime_grid():
     assert refuting_digest() == REFUTING_DIGEST
 
@@ -389,6 +424,7 @@ if __name__ == "__main__":
     print("}")
     print(f"CERTIFY_DIGEST = \"{certify_digest()}\"")
     print(f"LEMMA1_DIGEST = \"{lemma1_digest()}\"")
+    print(f"LEMMA1_EDGE_DIGEST = \"{lemma1_edge_digest()}\"")
     print(f"REFUTING_DIGEST = \"{refuting_digest()}\"")
     print(f"ORBIT_DIGEST = \"{orbit_digest()}\"")
     print(f"VERDICT_DIGEST = \"{verdict_digest()}\"")
