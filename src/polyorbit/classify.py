@@ -164,7 +164,7 @@ CATALOG = {row.ident: row for row in (
               for _, _, base, modulus in THM1_SHAPES)),
         CatalogItem("x+1, strictly local", lambda **_: [linear(1, 1)]))),
     CatalogRow("Rem4", "the r=-1 mirror of Thm1 (negate-conjugation), A={}", -1, items=tuple(
-        CatalogItem(f"-u(-x) for u in Thm1.{k}") for k in range(1, 5))),
+        CatalogItem(f"-u(-x) for u in Thm1.{k}") for k in range(1, 5)), mirror="Thm1"),
     CatalogRow("Thm2", "all members at r=0, A={}, any degree", 0, items=(
         CatalogItem("ax", lambda nonzero, **_: [linear(a, 0) for a in nonzero]),
         CatalogItem("x+b and -x+b, b != 0",
@@ -211,8 +211,9 @@ _SPECIAL_FAMILIES = {row.r: row.ident for row in CATALOG.values()
 
 def mirror_item(citation: str) -> str:
     """The catalog id of citation's negate-conjugate mirror: Thm1.k at r=1
-    mirrors to Rem4.k at r=-1, and Thm4.k at r and Cor4.k at -r mirror
-    each other. Any other id is left as it is."""
+    and Rem4.k at r=-1 mirror each other, as do Thm4.k at r and Cor4.k at
+    -r, so applying it twice gives the id back. Any other id is left as it
+    is."""
     family, dot, item = citation.partition(".")
     row = CATALOG.get(family)
     return (row and row.mirror or family) + dot + item

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import compress, filterfalse, islice
 from math import gcd, isqrt
 from operator import not_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .orbits import BudgetExceededError
 from .polynomials import Polynomial
@@ -305,12 +305,50 @@ def _walk(reduced: Sequence[int], x: int, p: int) -> tuple[int, dict | None]:
 def _subgroup_order(a: int, beta: int, gamma: int, p: int) -> int | None:
     """ord_p(a) when the unit beta/gamma lies in the cyclic group that a
     generates mod the prime p, that is when (beta/gamma)^ord_p(a) = 1;
-    None otherwise. When ord_p(a) = p-1 the group is all of (Z/pZ)*, and
-    neither an inverse nor a power is taken."""
+    None otherwise: the discrete log's step, which needs the order. When
+    ord_p(a) = p-1 the group is all of (Z/pZ)*, and neither an inverse nor
+    a power is taken."""
     order = multiplicative_order(a, p)
     if order == p - 1 or pow(beta * pow(gamma, -1, p), order, p) == 1:
         return order
     return None
+
+
+def _in_subgroup(
+    a: int, beta: int, gamma: int, p: int, a_square: bool | None = None
+) -> bool:
+    """Whether the unit beta/gamma lies in the cyclic group that the unit a
+    generates mod the sieved prime p, decided without ord_p(a).
+
+    In a cyclic group of order p-1, t lies in <a> exactly when, for each
+    prime q of p-1, q divides ord(t) no more often than ord(a). So for each
+    q (read from the smallest-prime-factor table as factorize reads it,
+    found by trial division beyond it) and each q^s dividing
+    p-1 in turn, the test moves to the next q as soon as a^((p-1)/q^s) != 1,
+    and otherwise requires t^((p-1)/q^s) = 1. t = beta/gamma is formed at
+    the first such requirement, so gamma is inverted exactly when
+    ord_p(a) < p-1. a_square, when given, is a's quadratic character mod p
+    (whether a^((p-1)/2) = 1): the first test, q = 2 and s = 1, read
+    instead of taken. p = 2 leaves nothing to test."""
+    n = m = p - 1
+    spf, size = _spf, len(_spf)
+    q = t = 0
+    while m > 1:
+        q = (spf[m] or m) if m < size else _least_factor(m, q)
+        while m % q == 0:
+            m //= q
+        e = n // q
+        while pow(a, e, p) == 1 if a_square is None else a_square:
+            a_square = None
+            if not t:
+                t = beta * pow(gamma, -1, p) % p
+            if pow(t, e, p) != 1:
+                return False
+            if e % q:  # e = (p-1)/q^s with q^s the full power of q in p-1
+                break
+            e //= q
+        a_square = None
+    return True
 
 
 def _discrete_log(a: int, beta: int, gamma: int, p: int) -> int | None:
@@ -462,8 +500,9 @@ def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
     too) the orbit is r, b, b, ..., a hit exactly when b = 0; x+b hits
     exactly when b != 0 or r = 0; any other map, with gamma = r(a-1)+b,
     exactly when b = gamma = 0 or the target b/gamma is a power of a.
-    Higher degrees take _walk over coefficients reduced mod p once per
-    prime, so that no step multiplies big integers."""
+    The target is decided by _in_subgroup, prime by prime of p-1, without
+    ord_p(a). Higher degrees take _walk over coefficients reduced mod p
+    once per prime, so that no step multiplies big integers."""
     coeffs = u.coeffs
     if len(coeffs) > 2:
         return _walk([c % p for c in reversed(coeffs)], r % p, p)[1] is None
@@ -478,7 +517,7 @@ def _reaches_zero_mod_p(u: Polynomial, r: int, p: int) -> bool:
     gamma = (r % p * (a - 1) + b) % p
     if not (b and gamma):  # gamma = 0: r is fixed, a hit iff b = 0; else a miss
         return b == gamma
-    return _subgroup_order(a, b, gamma, p) is not None
+    return _in_subgroup(a, b, gamma, p)
 
 
 def is_integer_power(base: int, target: int) -> int | None:
@@ -538,12 +577,10 @@ def lemma1_witnesses(
     gamma*alpha^n = beta mod p has no solution n >= 1.
 
     Per prime this is the subgroup-membership question "is beta/gamma in
-    the cyclic group generated by alpha mod p", and it is answered by the
-    subgroup test the residue orbits use (_subgroup_order): beta/gamma lies
-    in that group exactly when (beta/gamma)^ord_p(alpha) = 1 mod p. When
-    ord_p(alpha) = p-1 the group is all of (Z/pZ)*, and neither an inverse
-    nor a power is taken. No residue walk is needed, and the primes are read
-    from the table's prime list.
+    the cyclic group generated by alpha mod p", answered by _in_subgroup
+    with no walk and no multiplicative order, its first step (alpha's
+    quadratic character) read by residue class (_square_reader). The
+    primes are read from the table's prime list; p = 2 is never a witness.
     Requires that neither beta/gamma nor gamma/beta is a nonnegative
     integer power of alpha (otherwise a caller logic error: such witnesses
     cannot exist for almost all primes), and a prime bound of at least 2.
@@ -558,8 +595,35 @@ def lemma1_witnesses(
                 "search's hypothesis fails"
             )
     product = alpha * beta * gamma
+    is_square = _square_reader(alpha, prime_bound)
     return [
         p
         for p in _primes_outside(prime_bound, ())
-        if product % p and _subgroup_order(alpha, beta, gamma, p) is None
+        if product % p and not _in_subgroup(alpha, beta, gamma, p, is_square(p))
     ]
+
+
+def _square_reader(alpha: int, prime_bound: int) -> Callable[[int], bool]:
+    """p -> whether alpha is a square mod the prime p not dividing alpha
+    (Euler's criterion: alpha^((p-1)/2) = 1 mod p).
+
+    By quadratic reciprocity the answer depends only on p mod 4|alpha| at
+    odd primes p not dividing alpha, and p = 2 has a class of its own. So
+    when 4|alpha| <= prime_bound the answers are kept by class in a
+    bytearray of 4|alpha| entries, each filled by one Euler-criterion power
+    the first time its class appears; the table lives as long as the
+    reader. A larger 4|alpha| gets no table, since the primes up to
+    prime_bound then fall in distinct classes, and each p takes its power.
+    """
+    period = 4 * abs(alpha)
+    if period > prime_bound:
+        return lambda p: pow(alpha, p >> 1, p) == 1
+    by_class = bytearray(period)  # 0: not yet read, 1: a square, 2: not
+
+    def is_square(p: int) -> bool:
+        known = by_class[p % period]
+        if not known:
+            known = by_class[p % period] = 1 if pow(alpha, p >> 1, p) == 1 else 2
+        return known == 1
+
+    return is_square

@@ -607,6 +607,18 @@ class TestOneCatalogTable:
             (f"{row.ident}.1-{len(row.items)}" if row.items else row.ident, row.text)
             for row in CATALOG.values()]
 
+    def test_mirror_item_is_an_involution(self):
+        """Thm1 and Rem4, Thm4 and Cor4 swap, item by item; the ids of a
+        family without a mirror, and of a label, are left as they are."""
+        ids = [ident for row in CATALOG.values()
+               for ident in (row.ident, *(f"{row.ident}.{k}"
+                                          for k in range(1, len(row.items) + 1)))]
+        pairs = {"Thm1": "Rem4", "Rem4": "Thm1", "Thm4": "Cor4", "Cor4": "Thm4"}
+        for ident in ids:
+            family, dot, item = ident.partition(".")
+            assert mirror_item(ident) == pairs.get(family, family) + dot + item
+            assert mirror_item(mirror_item(ident)) == ident
+
     def test_every_citation_is_a_row(self):
         """Over the VERDICT_DIGEST grid every decided verdict cites an item,
         a family or a label of the table, every undecided one nothing, and

@@ -454,6 +454,60 @@ class TestOneLemma1Target:
         assert 0 < len(short) < len(tested)
 
 
+class TestSubgroupPrimeByPrime:
+    """The witness search's per-prime test, _in_subgroup, against the
+    enumerated group, and the quadratic character it is given, read by
+    residue class, against Euler's criterion."""
+
+    @pytest.mark.parametrize("p", primes_up_to(61))
+    def test_membership_in_the_enumerated_group(self, p):
+        """With p-1 factored by trial division (the fresh table) and by
+        the table, with and without a's character, and with the target
+        given as -t over -1 and a lifted by -p."""
+        for grow in (False, True):
+            if grow:
+                primes_up_to(p)
+            for a in range(1, p):
+                group = powers_of(a, p)
+                square = pow(a, (p - 1) // 2, p) == 1
+                for t in range(1, p):
+                    for a_square in (None, square):
+                        assert modular._in_subgroup(a, t, 1, p, a_square) is (t in group), (
+                            a, t, a_square)
+                    assert modular._in_subgroup(a - p, -t, 2 * p - 1, p) is (t in group)
+
+    def test_square_reader_is_euler_criterion(self):
+        """Every base in [-40, 40] but 0 at every odd prime up to 3000 that
+        does not divide it: with a table, read in ascending and in shuffled
+        order, and without one."""
+        odd = primes_up_to(3000)[1:]
+        rng = random.Random(28)
+        for alpha in range(-40, 41):
+            if alpha == 0:
+                continue
+            primes = [p for p in odd if alpha % p]
+            euler = {p: pow(alpha, (p - 1) // 2, p) == 1 for p in primes}
+            for bound, order in ((3000, primes), (3000, rng.sample(primes, len(primes))),
+                                 (4 * abs(alpha) - 1, primes)):
+                is_square = modular._square_reader(alpha, bound)
+                assert [is_square(p) for p in order] == [euler[p] for p in order], (
+                    alpha, bound)
+
+    def test_no_table_when_4_alpha_exceeds_the_bound(self, monkeypatch):
+        tables = []
+
+        def recording_bytearray(*args):
+            tables.append(args)
+            return bytearray(*args)
+
+        monkeypatch.setattr(modular, "bytearray", recording_bytearray, raising=False)
+        for alpha in (751, -751, 10**9 + 7, -2**40):
+            lemma1_witnesses(alpha, 3, 5, 3000)
+        assert tables == []
+        lemma1_witnesses(-750, 3, 5, 3000)
+        assert tables == [(3000,)]
+
+
 def resident_primes():
     return [n for n in range(len(modular._spf)) if modular._spf[n] == 0]
 
