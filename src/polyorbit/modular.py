@@ -20,8 +20,10 @@ units at the least n >= 1 with a^n = beta/gamma: one baby-step
 giant-step over ord_p(a). Every other case, a refutation included, takes
 the one residue walk (_walk). first_refuting_prime builds no certificate:
 it walks maps of degree >= 2 and answers the rest in closed form, asking
-only whether beta/gamma lies in the group generated by a, the one
-subgroup test that lemma1_witnesses shares.
+only whether beta/gamma lies in the group generated by a. That yes or no
+is _in_subgroup, which lemma1_witnesses shares: a test prime by prime of
+p-1 that never computes ord_p(a). Only the discrete log, which needs the
+order, takes _subgroup_order.
 
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. One divisor loop
@@ -323,13 +325,13 @@ def _in_subgroup(
     In a cyclic group of order p-1, t lies in <a> exactly when, for each
     prime q of p-1, q divides ord(t) no more often than ord(a). So for each
     q (read from the smallest-prime-factor table as factorize reads it,
-    found by trial division beyond it) and each q^s dividing
-    p-1 in turn, the test moves to the next q as soon as a^((p-1)/q^s) != 1,
-    and otherwise requires t^((p-1)/q^s) = 1. t = beta/gamma is formed at
-    the first such requirement, so gamma is inverted exactly when
-    ord_p(a) < p-1. a_square, when given, is a's quadratic character mod p
-    (whether a^((p-1)/2) = 1): the first test, q = 2 and s = 1, read
-    instead of taken. p = 2 leaves nothing to test."""
+    found by trial division beyond it) and each q^s dividing p-1 in turn,
+    the test moves to the next q as soon as a^((p-1)/q^s) != 1, and
+    otherwise requires t^((p-1)/q^s) = 1. t = beta/gamma is formed at the
+    first such requirement, so gamma is inverted exactly when ord_p(a) <
+    p-1. a_square, when given, is a's quadratic character mod p (whether
+    a^((p-1)/2) = 1): the first test, q = 2 and s = 1, read instead of
+    taken. p = 2 leaves nothing to test."""
     n = m = p - 1
     spf, size = _spf, len(_spf)
     q = t = 0
@@ -355,8 +357,9 @@ def _discrete_log(a: int, beta: int, gamma: int, p: int) -> int | None:
     """The least n >= 1 with a^n = beta/gamma mod p, or None when that
     target is not a power of a. beta and gamma are units mod p.
 
-    One baby-step giant-step over N = ord_p(a), once _subgroup_order puts
-    the target t in the group: the baby steps are a^1 .. a^m with m =
+    One baby-step giant-step over N = ord_p(a), once _subgroup_order has
+    computed N and put the target t in the group (_in_subgroup answers
+    membership alone, without N): the baby steps are a^1 .. a^m with m =
     isqrt(N-1)+1, so m^2 >= N, and the giant steps divide t by a^m once per
     step. Giant step i finds n in [im+1, im+m], so the first match is the
     least n; a log of 0 mod N is found as n = N."""
