@@ -13,9 +13,10 @@ read Cor4 from Thm4's shapes, and the large-prime trap digest before
 the first hits became strided slices and the fixed points a row solve,
 and the coverage members digest before the member generator read the
 catalog as one table, and the lemma1 edge digest before the witness
-search stopped computing each multiplicative order in full; a change that
-moves one of them changes an answer,
-not only how fast it comes.
+search stopped computing each multiplicative order in full, and the
+character path digest before the witness search and the exponent path
+of certify_local read quadratic characters by residue class; a change
+that moves one of them changes an answer, not only how fast it comes.
 
 To record them again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
@@ -26,7 +27,7 @@ import hashlib
 import io
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -49,7 +50,7 @@ from polyorbit import (
 )
 from polyorbit.classify import CATALOG_FAMILIES
 from polyorbit.cli import main
-from polyorbit.modular import LemmaPreconditionError
+from polyorbit.modular import LemmaPreconditionError, _linear_exponent
 
 # The exhaustive-sweep boxes: (degree, coeff_bound, prime_bound, r).
 BOXES = [(3, 2, 200, r) for r in (-1, 0, 1)] + [(1, 9, 500, r) for r in range(2, 11)]
@@ -83,6 +84,7 @@ CAPPED_BOX_DIGEST = "9fbc6218a7dd897d4330ab2c68221044e1eb440c4101a44520eecd12e68
 LINEAR_GRID_DIGEST = "323246024b16b2def3d46212ef5e626fdf26fadd30bdf992762439b2214a3a63"
 MEMBERS_DIGEST = "c67e2d60e6f8c82ed5b72e41e12f6ff3af835a6ea42647eb90843b42520e8183"
 COVERAGE_MEMBERS_DIGEST = "b62c7d21b149dccbb581d922ed623a6ba7144d7e759ce8281ddde82b0e227e9b"
+CHARACTER_PATH_DIGEST = "55900e70923fda5751cc6eacd8ff24889abc27c0313e0c4b031c701be1755be5"
 
 _EXCLUDED = ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5, 7))
 
@@ -189,6 +191,59 @@ def lemma1_edge_digest() -> str:
         except LemmaPreconditionError:
             found = "refused"
         rows.append([alpha, beta, gamma, bound, found])
+    return _digest(rows)
+
+
+def _certificate_rows(u: Polynomial, r: int, A, bound: int) -> list:
+    report = certify_local(u, r, A, bound)
+    return [list(u.coeffs), r, list(A), bound, report.refuted_at,
+            [[c.p, c.m_p, None if c.cycle is None else [c.cycle[0], list(c.cycle[1])]]
+             for c in report.certificates]]
+
+
+def character_path_digest() -> str:
+    """Where a quadratic character can be read by residue class.
+    lemma1_witnesses at beta*gamma = +-1, at 4|beta*gamma| below, at and
+    above the bound 3000, and on seeded triples with |beta|, |gamma| <= 30
+    at 10^4; certify_local on the catalog members with an exponent (Thm3
+    at every nonempty A in {2, 3, 5}, Thm4 and Cor4 at 2 <= |r| <= 12,
+    and 2x+2 at r = 6, a Rem3 member) at bounds 1000 and 10^4, and on
+    linear maps with an exponent at a = -1 and at 4|a| around and above
+    the bound. A refused triple is recorded as refused."""
+    cases = [(alpha, beta, gamma, bound) for alpha in (2, 3, -3)
+             for beta, gamma in ((1, -1), (-1, 1)) for bound in (2, 1000, 3000)]
+    for n in (749, 750, 751):
+        for beta, gamma in ((n, 1), (1, n), (-n, 1), (1, -n), (7, n // 7), (-25, n // 25)):
+            if beta * gamma in (n, -n):
+                cases += [(alpha, beta, gamma, 3000) for alpha in (2, 3, 5, 6, -2)]
+    rng = random.Random(20261029)
+    for _ in range(40):
+        alpha = rng.choice((2, 3, 5, 6, 7, 10, -2, -3, -7))
+        beta = rng.choice([k for k in range(-30, 31) if k])
+        gamma = rng.choice([k for k in range(-30, 31) if k])
+        cases.append((alpha, beta, gamma, 10**4))
+    rows = []
+    for alpha, beta, gamma, bound in cases:
+        try:
+            found = lemma1_witnesses(alpha, beta, gamma, bound)
+        except LemmaPreconditionError:
+            found = "refused"
+        rows.append([alpha, beta, gamma, bound, found])
+    members = [(u, 1, A) for size in (1, 2, 3) for A in combinations((2, 3, 5), size)
+               for u in generate_list_members("Thm3", A=PrimeSet(A))]
+    members += [(u, r, ()) for r in range(2, 13) for u in generate_list_members("Thm4", r=r)]
+    members += [(u, -r, ()) for r in range(2, 13) for u in generate_list_members("Cor4", r=-r)]
+    members.append((Polynomial((2, 2)), 6, ()))
+    for u, r, A in members:
+        if _linear_exponent(u, r) is not None:
+            rows += [_certificate_rows(u, r, A, bound) for bound in (1000, 10**4)]
+    maps = [(Polynomial((b, -1)), r) for b in (-9, -4, -1, 1, 2, 7) for r in (0, b)]
+    for a in (750, -750, 751, -751, 10**9 + 7, -2**40):
+        maps += [(Polynomial((3, a)), 0), (Polynomial((3, a)), 3),
+                 (Polynomial((5 * a, a)), -5)]
+    for u, r in maps:
+        assert _linear_exponent(u, r) is not None, (u, r)
+        rows += [_certificate_rows(u, r, (), bound) for bound in (1000, 3000, 10**4)]
     return _digest(rows)
 
 
@@ -369,6 +424,10 @@ def test_lemma1_witnesses_at_the_edges():
     assert lemma1_edge_digest() == LEMMA1_EDGE_DIGEST
 
 
+def test_quadratic_character_paths():
+    assert character_path_digest() == CHARACTER_PATH_DIGEST
+
+
 def test_first_refuting_prime_grid():
     assert refuting_digest() == REFUTING_DIGEST
 
@@ -431,6 +490,7 @@ if __name__ == "__main__":
     print(f"LINEAR_GRID_DIGEST = \"{linear_grid_digest()}\"")
     print(f"MEMBERS_DIGEST = \"{members_digest()}\"")
     print(f"COVERAGE_MEMBERS_DIGEST = \"{coverage_members_digest()}\"")
+    print(f"CHARACTER_PATH_DIGEST = \"{character_path_digest()}\"")
     print(f"TRAP_HITS_DIGEST = \"{trap_hits_digest()}\"")
     print(f"TRAP_COMMAND_DIGEST = \"{trap_command_digest()}\"")
     print(f"TRAP_LARGE_DIGEST = \"{trap_large_digest()}\"")

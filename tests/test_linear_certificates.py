@@ -547,3 +547,46 @@ class TestOnePrimeList:
             monkeypatch.setattr(modular, "_spf", array("H", (1, 1)))
             monkeypatch.setattr(modular, "_primes", array("I"))
             assert certify_local(*call) == report, call
+
+
+class TestNoCharacterPastTheBound:
+    """Where 4|beta*gamma| or 4|a| exceeds the prime bound no character is
+    read by class: the modular powers a call takes stay at most the counts
+    recorded before beta/gamma's and a's characters were read by residue
+    class, and a huge beta adds no power of a huge base."""
+
+    BIG = 10**400 + 1
+    P = 10**9 + 7
+    WITNESS_POWS = {(2, BIG, 5): 1149, (-3, BIG, 7): 1039}
+    CERTIFY_POWS = {(P, 3, 3, 3000): 1379, (P, 3, 0, 3000): 1379,
+                    (-P, -5 * P, -5, 3000): 1373, (1009, 3, 3, 1000): 505,
+                    (-1009, 2, 0, 1000): 502}
+
+    @staticmethod
+    def counting(monkeypatch):
+        bases = []
+
+        def counting_pow(base, exp, mod=None):
+            bases.append(base)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(modular, "pow", counting_pow, raising=False)
+        return bases
+
+    def test_witness_search_with_a_huge_beta(self, monkeypatch):
+        expected = {case: lemma1_witnesses(*case, 3000) for case in self.WITNESS_POWS}
+        bases = self.counting(monkeypatch)
+        for case, most in self.WITNESS_POWS.items():
+            bases.clear()
+            assert lemma1_witnesses(*case, 3000) == expected[case]
+            assert len(bases) <= most, case
+            assert max(map(abs, bases)) < 3000, case
+
+    def test_order_path_with_4_a_past_the_bound(self, monkeypatch):
+        expected = {case: certify_local(linear(a, b), r, (), bound)
+                    for case in self.CERTIFY_POWS for a, b, r, bound in [case]}
+        bases = self.counting(monkeypatch)
+        for (a, b, r, bound), most in self.CERTIFY_POWS.items():
+            bases.clear()
+            assert certify_local(linear(a, b), r, (), bound) == expected[a, b, r, bound]
+            assert len(bases) <= most, (a, b, r, bound)
