@@ -13,7 +13,9 @@ beta)/(a-1). When gamma = beta a^e for an integer e (every linear member
 has one), certify_local settles each prime p dividing none of
 a(a-1)beta gamma from that one exponent: m_p = -e mod ord_p(a), or
 ord_p(a) when that is 0, and first_refuting_prime tests only the primes
-that divide the product, since every other prime hits. Each remaining
+that divide the product, since every other prime hits. Each such order
+comes from _order, the one order loop, which multiplicative_order also
+runs; certify_local gives it a's quadratic character. Each remaining
 prime goes to orbit_mod_p. There a translation x+b reaches 0 mod p at
 m_p = -r/b mod p, and any other ax+b with a != 0, 1 mod p and beta, gamma
 units at the least n >= 1 with a^n = beta/gamma: one baby-step
@@ -25,9 +27,17 @@ is _in_subgroup, which lemma1_witnesses shares: a test prime by prime of
 p-1 that never computes ord_p(a). Only the discrete log, which needs the
 order, takes _subgroup_order.
 
+A quadratic character mod p is the first step (q = 2) of both the order
+and the subgroup test. By quadratic reciprocity the character of a
+nonzero n depends only on p mod 4|n|, so _square_reader keeps it by
+residue class for one call: lemma1_witnesses reads alpha's and
+beta*gamma's (beta/gamma's character), certify_local reads a's, and
+_reaches_zero_mod_p, which asks about one prime at a time, reads none.
+
 Primality is decided by sieve / trial division only; certificates must be
 unconditional, so probabilistic tests are off the table. One divisor loop
-(_least_factor) serves is_prime and factorize; it stops at PRIME_BOUND_MAX.
+(_least_factor) serves is_prime, factorize, and the order and subgroup
+tests where p-1 lies beyond the table; it stops at PRIME_BOUND_MAX.
 """
 
 from __future__ import annotations
@@ -317,7 +327,12 @@ def _subgroup_order(a: int, beta: int, gamma: int, p: int) -> int | None:
 
 
 def _in_subgroup(
-    a: int, beta: int, gamma: int, p: int, a_square: bool | None = None
+    a: int,
+    beta: int,
+    gamma: int,
+    p: int,
+    a_square: bool | None = None,
+    t_square: bool | None = None,
 ) -> bool:
     """Whether the unit beta/gamma lies in the cyclic group that the unit a
     generates mod the sieved prime p, decided without ord_p(a).
@@ -328,10 +343,16 @@ def _in_subgroup(
     found by trial division beyond it) and each q^s dividing p-1 in turn,
     the test moves to the next q as soon as a^((p-1)/q^s) != 1, and
     otherwise requires t^((p-1)/q^s) = 1. t = beta/gamma is formed at the
-    first such requirement, so gamma is inverted exactly when ord_p(a) <
-    p-1. a_square, when given, is a's quadratic character mod p (whether
-    a^((p-1)/2) = 1): the first test, q = 2 and s = 1, read instead of
-    taken. p = 2 leaves nothing to test."""
+    first power of t the test takes. a_square and t_square, when given,
+    are the quadratic characters of a and of t mod p (whether
+    a^((p-1)/2) = 1, and likewise t, whose character is beta*gamma's): the
+    first test, q = 2 and s = 1, is read instead of taken. With both read,
+    a non-square a goes on to the next q, a square a with a non-square t
+    answers no, and two squares go on to s = 2, all with no power and no
+    inverse; so gamma is inverted exactly when a is a non-square and
+    ord_p(a) < p-1, or both are squares and ord_p(a) < (p-1)/2. With
+    neither read, that is exactly when ord_p(a) < p-1. p = 2 leaves
+    nothing to test."""
     n = m = p - 1
     spf, size = _spf, len(_spf)
     q = t = 0
@@ -341,15 +362,18 @@ def _in_subgroup(
             m //= q
         e = n // q
         while pow(a, e, p) == 1 if a_square is None else a_square:
-            a_square = None
-            if not t:
-                t = beta * pow(gamma, -1, p) % p
-            if pow(t, e, p) != 1:
+            if t_square is None:
+                if not t:
+                    t = beta * pow(gamma, -1, p) % p
+                if pow(t, e, p) != 1:
+                    return False
+            elif not t_square:
                 return False
+            a_square = t_square = None
             if e % q:  # e = (p-1)/q^s with q^s the full power of q in p-1
                 break
             e //= q
-        a_square = None
+        a_square = t_square = None
     return True
 
 
@@ -453,17 +477,20 @@ def certify_local(
 
     A linear map with gamma = beta a^e (see _linear_exponent) hits every
     prime p dividing none of a(a-1)beta gamma at m_p = -e mod ord_p(a), or
-    ord_p(a) when that is 0: one multiplicative order a prime. Every other
-    prime is settled by orbit_mod_p.
+    ord_p(a) when that is 0: one multiplicative order a prime, from _order
+    with a's quadratic character read by residue class (_square_reader),
+    so a non-square a takes no power for the 2-part of its order. Every
+    other prime is settled by orbit_mod_p.
     """
     check_prime_bound(prime_bound)
     e = _linear_exponent(u, r)
     special = 0 if e is None else _exceptional_product(u, r)
     certificates = []
     append, a = certificates.append, u.lead
+    is_square = _square_reader(a, prime_bound) if special else None
     for p in _primes_outside(prime_bound, _as_prime_set(A).primes):
         if special % p:
-            order = multiplicative_order(a, p)
+            order = _order(a, p, is_square(p))
             append(PrimeCertificate(p, -e % order or order))
             continue
         cert = orbit_mod_p(u, r, p)
@@ -548,28 +575,37 @@ class LemmaPreconditionError(ValueError):
 
 def multiplicative_order(a: int, p: int) -> int:
     """The order of a in the multiplicative group mod the prime p: the
-    least k >= 1 with a^k = 1 mod p.
+    least k >= 1 with a^k = 1 mod p, from _order with no character given.
+    p must be prime (not checked: callers pass sieved primes) and a a unit
+    mod p."""
+    if a % p == 0:
+        raise ValueError(f"{a} is not a unit mod {p}")
+    return _order(a, p)
+
+
+def _order(a: int, p: int, a_square: bool | None = None) -> int:
+    """ord_p(a) for a unit a mod the prime p, the one order loop.
 
     The order divides p-1, so it starts there and divides out each prime
     factor q of p-1 for as long as a^(order/q) = 1 mod p, each q read from
-    the smallest-prime-factor table (from factorize beyond it). p must be
-    prime (not checked: callers pass sieved primes) and a a unit mod p.
-    """
-    if a % p == 0:
-        raise ValueError(f"{a} is not a unit mod {p}")
-    order = n = p - 1
-    spf = _spf
-    if n >= len(spf):
-        for q in factorize(n):
-            while order % q == 0 and pow(a, order // q, p) == 1:
-                order //= q
-        return order
-    while n > 1:
-        q = spf[n] or n
-        while n % q == 0:
-            n //= q
-        while order % q == 0 and pow(a, order // q, p) == 1:
+    the smallest-prime-factor table (found by trial division beyond it, as
+    in _in_subgroup). a_square, when given, is a's quadratic character mod
+    p, the first test (q = 2 from order p-1) read instead of taken: a
+    non-square a keeps the full power of 2 in its order with no power
+    taken, and a square a starts from (p-1)/2."""
+    order = m = p - 1
+    spf, size = _spf, len(_spf)
+    q = 0
+    while m > 1:
+        q = (spf[m] or m) if m < size else _least_factor(m, q)
+        while m % q == 0:
+            m //= q
+        while order % q == 0 and (
+            pow(a, order // q, p) == 1 if a_square is None else a_square
+        ):
             order //= q
+            a_square = None
+        a_square = None
     return order
 
 
@@ -581,9 +617,13 @@ def lemma1_witnesses(
 
     Per prime this is the subgroup-membership question "is beta/gamma in
     the cyclic group generated by alpha mod p", answered by _in_subgroup
-    with no walk and no multiplicative order, its first step (alpha's
-    quadratic character) read by residue class (_square_reader). The
-    primes are read from the table's prime list; p = 2 is never a witness.
+    with no walk and no multiplicative order. Its first step is read from
+    two quadratic characters by residue class (_square_reader): alpha's,
+    and beta*gamma's, which is beta/gamma's. When 4|beta*gamma| exceeds
+    prime_bound, beta*gamma's character is not read: without a table each
+    p would take a power of its own, on top of those the test takes
+    (alpha's untabled power replaces the test's first). The primes are
+    read from the table's prime list; p = 2 is never a witness.
     Requires that neither beta/gamma nor gamma/beta is a nonnegative
     integer power of alpha (otherwise a caller logic error: such witnesses
     cannot exist for almost all primes), and a prime bound of at least 2.
@@ -597,36 +637,39 @@ def lemma1_witnesses(
                 f"{num}/{den} is a nonnegative power of {alpha}; the witness "
                 "search's hypothesis fails"
             )
-    product = alpha * beta * gamma
-    is_square = _square_reader(alpha, prime_bound)
+    product, target = alpha * beta * gamma, beta * gamma
+    a_square = _square_reader(alpha, prime_bound)
+    t_square = (_square_reader(target, prime_bound) if 4 * abs(target) <= prime_bound
+                else lambda p: None)
     return [
         p
         for p in _primes_outside(prime_bound, ())
-        if product % p and not _in_subgroup(alpha, beta, gamma, p, is_square(p))
+        if product % p
+        and not _in_subgroup(alpha, beta, gamma, p, a_square(p), t_square(p))
     ]
 
 
-def _square_reader(alpha: int, prime_bound: int) -> Callable[[int], bool]:
-    """p -> whether alpha is a square mod the prime p not dividing alpha
-    (Euler's criterion: alpha^((p-1)/2) = 1 mod p).
+def _square_reader(n: int, prime_bound: int) -> Callable[[int], bool]:
+    """p -> whether the nonzero n is a square mod the prime p not dividing
+    n (Euler's criterion: n^((p-1)/2) = 1 mod p).
 
-    By quadratic reciprocity the answer depends only on p mod 4|alpha| at
-    odd primes p not dividing alpha, and p = 2 has a class of its own. So
-    when 4|alpha| <= prime_bound the answers are kept by class in a
-    bytearray of 4|alpha| entries, each filled by one Euler-criterion power
-    the first time its class appears; the table lives as long as the
-    reader. A larger 4|alpha| gets no table, since the primes up to
-    prime_bound then fall in distinct classes, and each p takes its power.
+    By quadratic reciprocity the answer depends only on p mod 4|n| at odd
+    primes p not dividing n, and p = 2 has a class of its own. So when
+    4|n| <= prime_bound the answers are kept by class in a bytearray of
+    4|n| entries, each filled by one Euler-criterion power the first time
+    its class appears; the table lives as long as the reader. A larger
+    4|n| gets no table, since the primes up to prime_bound then fall in
+    distinct classes, and each p takes its power.
     """
-    period = 4 * abs(alpha)
+    period = 4 * abs(n)
     if period > prime_bound:
-        return lambda p: pow(alpha, p >> 1, p) == 1
+        return lambda p: pow(n, p >> 1, p) == 1
     by_class = bytearray(period)  # 0: not yet read, 1: a square, 2: not
 
     def is_square(p: int) -> bool:
         known = by_class[p % period]
         if not known:
-            known = by_class[p % period] = 1 if pow(alpha, p >> 1, p) == 1 else 2
+            known = by_class[p % period] = 1 if pow(n, p >> 1, p) == 1 else 2
         return known == 1
 
     return is_square

@@ -435,8 +435,11 @@ class TestOneTrialDivision:
 
 class TestOneLemma1Target:
     def test_no_inverse_where_alpha_generates_every_unit(self, monkeypatch):
-        """The subgroup test inverts gamma only where ord_p(alpha) < p-1:
-        elsewhere every unit lies in the group."""
+        """With both quadratic characters read by class, the subgroup test
+        inverts gamma exactly where alpha is a non-square and ord_p(alpha)
+        < p-1, or alpha and beta*gamma are both squares and ord_p(alpha) <
+        (p-1)/2: elsewhere every unit lies in the group, or the characters
+        answer alone."""
         inverted = []
 
         def counting_pow(base, exp, mod=None):
@@ -449,7 +452,14 @@ class TestOneLemma1Target:
         monkeypatch.setattr(modular, "pow", counting_pow, raising=False)
         assert lemma1_witnesses(alpha, beta, gamma, bound) == expected
         tested = [p for p in primes_up_to(bound) if alpha * beta * gamma % p]
-        short = [p for p in tested if modular.multiplicative_order(alpha, p) < p - 1]
+
+        def square(n, p):
+            return pow(n, (p - 1) // 2, p) == 1
+
+        short = [p for p in tested
+                 if (order := modular.multiplicative_order(alpha, p)) < p - 1
+                 and not square(alpha, p)
+                 or square(alpha, p) and square(beta * gamma, p) and order < (p - 1) // 2]
         assert inverted == short
         assert 0 < len(short) < len(tested)
 
@@ -494,6 +504,9 @@ class TestSubgroupPrimeByPrime:
                     alpha, bound)
 
     def test_no_table_when_4_alpha_exceeds_the_bound(self, monkeypatch):
+        """Each call builds one table of 4|n| entries for each character n,
+        alpha's and then beta*gamma's, whose period is at most the bound,
+        and none otherwise."""
         tables = []
 
         def recording_bytearray(*args):
@@ -502,10 +515,71 @@ class TestSubgroupPrimeByPrime:
 
         monkeypatch.setattr(modular, "bytearray", recording_bytearray, raising=False)
         for alpha in (751, -751, 10**9 + 7, -2**40):
+            tables.clear()
             lemma1_witnesses(alpha, 3, 5, 3000)
-        assert tables == []
+            assert tables == [(60,)], alpha
+        tables.clear()
         lemma1_witnesses(-750, 3, 5, 3000)
-        assert tables == [(3000,)]
+        assert tables == [(3000,), (60,)]
+        for beta, gamma, expected in ((750, -1, [(3000,)]), (751, 2, []),
+                                      (-2**40, 3, []), (25, 30, [(3000,)])):
+            tables.clear()
+            lemma1_witnesses(751, beta, gamma, 3000)
+            assert tables == expected, (beta, gamma)
+
+
+class TestCharactersByClass:
+    """The q = 2, s = 1 step read from quadratic characters: _in_subgroup
+    given both characters and the order kernel given a's, each against the
+    enumerated group, and the reader of beta*gamma's character against
+    Euler's criterion."""
+
+    @staticmethod
+    def square(n, p):
+        return pow(n, (p - 1) // 2, p) == 1
+
+    @pytest.mark.parametrize("p", primes_up_to(61))
+    def test_membership_given_both_characters(self, p):
+        """With p-1 factored by trial division and by the table, with a's
+        character read or taken, and with the target given as t over 1 and
+        as -t over -1 lifted by 2p, t's character being beta*gamma's."""
+        for grow in (False, True):
+            if grow:
+                primes_up_to(p)
+            for a in range(1, p):
+                group = powers_of(a, p)
+                for t in range(1, p):
+                    for beta, gamma in ((t, 1), (-t, 2 * p - 1)):
+                        t_square = self.square(beta * gamma, p)
+                        for a_square in (None, self.square(a, p)):
+                            assert modular._in_subgroup(
+                                a, beta, gamma, p, a_square, t_square) is (t in group), (
+                                a, t, a_square)
+
+    @pytest.mark.parametrize("p", primes_up_to(61))
+    def test_order_given_the_character(self, p):
+        """Every unit a and its lift a-p, with p-1 factored by trial
+        division and by the table, against the least exponent."""
+        for grow in (False, True):
+            if grow:
+                primes_up_to(p)
+            for a in range(1, p):
+                least = len(powers_of(a, p))
+                for unit in (a, a - p):
+                    assert modular._order(unit, p, self.square(unit, p)) == least, (unit, p)
+
+    def test_target_reader_is_euler_criterion(self):
+        """Every beta*gamma with |beta|, |gamma| <= 9 at every odd prime up
+        to 3000 that does not divide it, each class filled in ascending
+        and in shuffled order."""
+        odd = primes_up_to(3000)[1:]
+        rng = random.Random(29)
+        targets = {beta * gamma for beta in range(-9, 10) for gamma in range(-9, 10)}
+        for n in sorted(targets - {0}):
+            primes = [p for p in odd if n % p]
+            for order in (primes, rng.sample(primes, len(primes))):
+                is_square = modular._square_reader(n, 3000)
+                assert [is_square(p) for p in order] == [self.square(n, p) for p in order], n
 
 
 def resident_primes():
