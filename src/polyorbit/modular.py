@@ -639,8 +639,11 @@ def lemma1_witnesses(
             )
     product, target = alpha * beta * gamma, beta * gamma
     a_square = _square_reader(alpha, prime_bound)
-    t_square = (_square_reader(target, prime_bound) if 4 * abs(target) <= prime_bound
-                else lambda p: None)
+    t_square = (
+        _square_reader(target, prime_bound)
+        if 4 * abs(target) <= prime_bound
+        else lambda p: None
+    )
     return [
         p
         for p in _primes_outside(prime_bound, ())
